@@ -2,13 +2,13 @@
 
 Where :mod:`repro.faults` models a hostile *medium* (the channels the
 derived converter must survive), this package models a hostile
-*machine*: dying pool workers, wedged processes, disks that run out of
-space mid-checkpoint, results that arrive late or twice.  The supervised
-runtime — :class:`~repro.quotient.parallel.ShardExecutor`'s worker
-supervision and :mod:`repro.persist.store`'s retrying I/O — must keep
-every output byte-identical to a fault-free run under any
-:class:`ChaosPlan`; ``tests/test_chaos_differential.py`` is the
-differential harness pinning that contract.
+*machine*: dying or wedged job workers and disks that fail or run out of
+space mid-checkpoint.  The supervised runtime —
+:class:`~repro.serve.workers.WorkerSupervisor`'s job supervision and
+:mod:`repro.persist.store`'s retrying I/O — must keep every output
+byte-identical to a fault-free run under any :class:`ChaosPlan`;
+``tests/test_serve_differential.py`` and
+``tests/test_chaos_differential.py`` pin that contract.
 
 Nothing here runs unless activated (:func:`use_chaos`, ``REPRO_CHAOS``);
 the disabled seams cost one global read.  See

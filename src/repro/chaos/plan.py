@@ -3,20 +3,19 @@
 The paper derives converters that stay correct when the *modeled* medium
 misbehaves (:mod:`repro.faults`); this module applies the same
 philosophy to the solver's own runtime.  A :class:`ChaosPlan` describes
-a hostile environment for one run — pool workers that die or hang at the
-Nth task, store writes that hit ``ENOSPC`` or land torn, task results
-that arrive late or twice — and the supervised execution layers
-(:mod:`repro.quotient.parallel`, :mod:`repro.persist.store`) consult it
-through test-only seams.
+a hostile environment for one run — served jobs whose worker dies, wedges
+or fails at the Nth job, store writes that hit ``ENOSPC`` or land torn —
+and the supervised execution layers (:mod:`repro.serve.workers`,
+:mod:`repro.persist.store`) consult it through test-only seams.
 
 Two properties make the plans usable in differential tests:
 
 * **Determinism.**  Every decision is a pure function of
   ``(seed, site, n)`` where *site* names the injection point
-  (``"worker.task"``, ``"store.write"``, …) and *n* is that site's own
+  (``"serve.job"``, ``"store.write"``, …) and *n* is that site's own
   occurrence counter.  The same plan therefore injects the same faults
   on every run regardless of scheduling — and entirely independent calls
-  (a retry, a different worker) draw independent decisions.
+  (a retry, a different job) draw independent decisions.
 * **Zero hot-path cost when disabled.**  Mirroring the obs
   null-collector pattern, the seams cost one module-global read and a
   ``None`` check when no plan is active.  Activation is explicit:
@@ -29,8 +28,8 @@ The injected faults are *transient by construction*: each consultation
 advances the site counter, so a retried operation draws a fresh decision
 — exactly the failure model the retry/supervision layers are built to
 survive.  Outputs must remain byte-identical to fault-free runs under
-any plan; ``tests/test_chaos_differential.py`` pins that contract over
-hundreds of random problems.
+any plan; ``tests/test_serve_differential.py`` (job faults) and
+``tests/test_chaos_differential.py`` (store faults) pin that contract.
 """
 
 from __future__ import annotations
@@ -56,10 +55,8 @@ __all__ = [
 
 #: Sites a plan can inject at, for validation and documentation.
 SITES = (
-    "worker.task",      # pool-worker task boundary (kill / hang / raise)
     "store.write",      # persist.store envelope writes
     "store.read",       # persist.store envelope reads
-    "executor.result",  # coordinator-side result arrivals (delay / dup)
     "serve.job",        # serve-layer job execution (kill / hang / raise)
 )
 
@@ -97,21 +94,20 @@ class ChaosPlan:
     """One run's fault schedule; immutable, picklable, fully seeded.
 
     Every fault has two knobs: an explicit index tuple (``kill_at=(3,)``
-    fires at exactly the 4th worker task — targeted tests) and a
-    probability (``p_kill=0.05`` fires at ~5% of tasks, decided by the
+    fires at exactly the 4th job attempt — targeted tests) and a
+    probability (``p_kill=0.05`` fires at ~5% of attempts, decided by the
     seeded hash of ``(seed, site, n)`` — randomized sweeps).  Either
     firing injects the fault.
 
-    Worker faults (site ``worker.task``; the counter is per worker
-    process, so ``kill_at=(2,)`` kills *each* worker at its 3rd task):
+    Job faults (site ``serve.job``, counted per job attempt; see
+    :meth:`ChaosState.serve_job_fault`):
 
-    * ``kill_at`` / ``p_kill`` — the worker process exits hard
-      (``os._exit``), simulating an OOM kill or a crashed machine.
-    * ``hang_at`` / ``p_hang`` — the worker sleeps ``hang_s`` seconds
-      before answering, simulating a wedged process; the coordinator's
-      task deadline must recover.
-    * ``raise_at`` / ``p_raise`` — the task raises :class:`OSError`,
-      simulating a transient in-worker failure.
+    * ``kill_at`` / ``p_kill`` — the job's worker dies mid-solve; the
+      supervisor resumes the job from its checkpoint.
+    * ``hang_at`` / ``p_hang`` — the job's worker wedges mid-solve; the
+      supervisor recovers it the same way.
+    * ``raise_at`` / ``p_raise`` — the attempt raises :class:`OSError`,
+      simulating a transient failure the retry policy absorbs.
 
     Store faults (sites ``store.write`` / ``store.read``, counted per
     process across all paths):
@@ -126,23 +122,14 @@ class ChaosPlan:
       the store's fallback machinery exists for.
     * ``read_error_at`` / ``p_read_error`` — the read raises
       ``OSError(EIO)``.
-
-    Executor-result faults (site ``executor.result``):
-
-    * ``delay_at`` / ``p_delay`` — a completed pool result is held back
-      for ``delay_polls`` pump cycles before becoming visible.
-    * ``dup_at`` / ``p_dup`` — a completed result is delivered twice;
-      the second delivery must be dropped by the executor and must not
-      double-charge the budget.
     """
 
     seed: int = 0
-    # worker faults
+    # job faults
     kill_at: tuple[int, ...] = ()
     p_kill: float = 0.0
     hang_at: tuple[int, ...] = ()
     p_hang: float = 0.0
-    hang_s: float = 30.0
     raise_at: tuple[int, ...] = ()
     p_raise: float = 0.0
     # store faults
@@ -154,12 +141,6 @@ class ChaosPlan:
     p_write_partial: float = 0.0
     read_error_at: tuple[int, ...] = ()
     p_read_error: float = 0.0
-    # executor-result faults
-    delay_at: tuple[int, ...] = ()
-    p_delay: float = 0.0
-    delay_polls: int = 2
-    dup_at: tuple[int, ...] = ()
-    p_dup: float = 0.0
     #: Restrict injection to these sites (:data:`SITES` names); empty
     #: means "all sites".  A name outside :data:`SITES` raises
     #: :class:`ChaosSpecError` — never a silent no-op.
@@ -175,12 +156,6 @@ class ChaosPlan:
                     object.__setattr__(self, f.name, tuple(value))
                     value = getattr(self, f.name)
                 _indices(f.name, value)
-        if self.hang_s < 0:
-            raise ReproError(f"hang_s must be >= 0, got {self.hang_s!r}")
-        if self.delay_polls < 1:
-            raise ReproError(
-                f"delay_polls must be >= 1, got {self.delay_polls!r}"
-            )
         if isinstance(self.sites, list):
             object.__setattr__(self, "sites", tuple(self.sites))
         unknown = tuple(s for s in self.sites if s not in SITES)
@@ -206,6 +181,8 @@ class ChaosPlan:
             return False
         return random.Random(f"{self.seed}|{site}|{n}").random() < p
 
+    # the job-fault hash sites are named "worker.*": renaming them would
+    # change the decisions of every seeded schedule
     def kill_worker(self, n: int) -> bool:
         return self._fires("worker.kill", n, self.kill_at, self.p_kill)
 
@@ -231,25 +208,6 @@ class ChaosPlan:
     def store_read_fault(self, n: int) -> bool:
         return self._fires("store.read", n, self.read_error_at, self.p_read_error)
 
-    def result_delay(self, n: int) -> int:
-        """Pump cycles to hold result *n* back, or 0 for on-time delivery."""
-        if self._fires("executor.delay", n, self.delay_at, self.p_delay):
-            return self.delay_polls
-        return 0
-
-    def result_duplicate(self, n: int) -> bool:
-        return self._fires("executor.dup", n, self.dup_at, self.p_dup)
-
-    @property
-    def wants_workers(self) -> bool:
-        """Whether any worker-side fault can ever fire (kept out of the
-        pool initializer otherwise, so fault-free workers stay pristine)."""
-        return self.site_enabled("worker.task") and bool(
-            self.kill_at or self.p_kill
-            or self.hang_at or self.p_hang
-            or self.raise_at or self.p_raise
-        )
-
     # ------------------------------------------------------------------
     # REPRO_CHAOS spec strings
     # ------------------------------------------------------------------
@@ -259,7 +217,7 @@ class ChaosPlan:
 
         Ints and floats parse naturally; index tuples are colon-separated
         (``kill_at=2:5``), as is the site filter
-        (``sites=worker.task:store.write``).  Unknown keys and unknown
+        (``sites=serve.job:store.write``).  Unknown keys and unknown
         site names are rejected with a structured
         :class:`ChaosSpecError` so a typo cannot silently disable the
         fault it meant to inject.
@@ -294,7 +252,7 @@ class ChaosPlan:
                     kwargs[key] = tuple(
                         int(v) for v in raw.split(":") if v != ""
                     )
-                elif key in ("seed", "delay_polls"):
+                elif key == "seed":
                     kwargs[key] = int(raw)
                 else:
                     kwargs[key] = float(raw)
@@ -353,25 +311,12 @@ class ChaosState:
             return True
         return False
 
-    def result_fault(self) -> tuple[int, bool]:
-        """``(delay_polls, duplicate)`` for the next executor result."""
-        if not self.plan.site_enabled("executor.result"):
-            return 0, False
-        n = self.next_index("executor.result")
-        delay = self.plan.result_delay(n)
-        dup = self.plan.result_duplicate(n)
-        if delay:
-            self.injected("executor.delay")
-        if dup:
-            self.injected("executor.dup")
-        return delay, dup
-
     def serve_job_fault(self) -> str | None:
         """``"kill"`` / ``"hang"`` / ``"raise"`` for the next served job.
 
-        The serve layer (:mod:`repro.serve.workers`) reuses the worker
-        fault knobs at its own site: a *kill* simulates the job's worker
-        dying mid-solve (recovered via checkpoint resume), a *hang* a
+        The serve layer (:mod:`repro.serve.workers`) consults this once
+        per job attempt: a *kill* simulates the job's worker dying
+        mid-solve (recovered via checkpoint resume), a *hang* a
         wedged worker (recovered via the job deadline), a *raise* a
         transient pre-flight failure (recovered via RetryPolicy).
         """

@@ -205,20 +205,14 @@ def _budget_from_args(args: argparse.Namespace):
 
 
 # ----------------------------------------------------------------------
-# parallel flags (solve / resilience / analyze; see docs/performance.md)
+# fault injection (solve / resilience / analyze; see docs/robustness.md)
 # ----------------------------------------------------------------------
-def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("parallelism")
-    group.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="shard the kernel explorations across N worker processes "
-        "(default: REPRO_WORKERS, else 1 = sequential); the merge is "
-        "deterministic, so output is byte-identical at any N",
-    )
+def _add_chaos_arguments(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_argument_group("fault injection")
     group.add_argument(
         "--chaos", metavar="SPEC", default=None,
         help="inject a seeded fault schedule into this run's own runtime "
-        "(key=value comma list, e.g. 'seed=7,p_kill=0.05'; default: "
+        "(key=value comma list, e.g. 'seed=7,p_write_enospc=0.2'; default: "
         "REPRO_CHAOS); the supervised runtime must keep the output "
         "byte-identical — see docs/robustness.md",
     )
@@ -232,22 +226,6 @@ def _chaos_scope(args: argparse.Namespace):
     from . import chaos
 
     return chaos.use_chaos(chaos.ChaosPlan.from_spec(spec))
-
-
-def _workers_scope(args: argparse.Namespace):
-    """An ambient worker-count scope for the command body.
-
-    ``--workers`` wins; without it the ambient default (``REPRO_WORKERS``)
-    applies, so returning a null scope keeps env-driven runs working.
-    """
-    workers = getattr(args, "workers", None)
-    if workers is None:
-        return contextlib.nullcontext()
-    if workers < 1:
-        raise ReproError(f"--workers must be >= 1, got {workers}")
-    from .quotient.parallel import use_workers
-
-    return use_workers(workers)
 
 
 # ----------------------------------------------------------------------
@@ -666,7 +644,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     run_key = {"fingerprint": "", "label": ""}
 
     def body() -> int:
-        with _workers_scope(args), _progress_scope(args, budget):
+        with _chaos_scope(args), _progress_scope(args, budget):
             if args.scenario is not None:
                 scenario = _analyze_scenarios()[args.scenario]()
                 if args.ledger:
@@ -861,8 +839,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         budget = _budget_from_args(args)
         started = time.monotonic()
         try:
-            with _sigint_scope(interrupt), _workers_scope(args), \
-                    _chaos_scope(args), _progress_scope(args, budget):
+            with _sigint_scope(interrupt), _chaos_scope(args), \
+                    _progress_scope(args, budget):
                 result = solve_quotient(
                     service,
                     component,
@@ -903,19 +881,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 print(to_dot(result.converter))
         from .persist import problem_fingerprint
 
-        counters = result.phase_counters()
-        if result.degradations:
-            # surface a degraded (but exact) execution in the run record
-            counters["degradations"] = [
-                d.to_json_dict() for d in result.degradations
-            ]
         _ledger_append(
             args,
             kind="solve",
             fingerprint=problem_fingerprint(result.problem),
             label=label,
             verdict="converter" if result.exists else "no-converter",
-            counters=counters,
+            counters=result.phase_counters(),
             wall_time_s=time.monotonic() - started,
             artifacts=_artifact_refs(args),
         )
@@ -1076,7 +1048,7 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
         if args.resume and args.checkpoint is None:
             raise ReproError("--resume requires --checkpoint FILE")
         started = time.monotonic()
-        with _workers_scope(args), _progress_scope(args, budget) as reporter:
+        with _chaos_scope(args), _progress_scope(args, budget) as reporter:
             try:
                 # the baseline derivation is not checkpointed here (a
                 # sweep's unit of resume is the cell), so its budget trips
@@ -1646,7 +1618,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="lowest severity that makes the exit code 2 (default error)",
     )
     _add_budget_arguments(p_an)
-    _add_parallel_arguments(p_an)
+    _add_chaos_arguments(p_an)
     _add_obs_arguments(p_an)
     _add_recorder_arguments(p_an)
     p_an.set_defaults(func=_cmd_analyze)
@@ -1689,7 +1661,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(which phase emptied the machine, pairs surviving safety)",
     )
     _add_budget_arguments(p_solve)
-    _add_parallel_arguments(p_solve)
+    _add_chaos_arguments(p_solve)
     _add_persist_arguments(p_solve)
     _add_obs_arguments(p_solve)
     _add_recorder_arguments(p_solve)
@@ -1748,7 +1720,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default text)",
     )
     _add_budget_arguments(p_res)
-    _add_parallel_arguments(p_res)
+    _add_chaos_arguments(p_res)
     _add_persist_arguments(p_res)
     _add_obs_arguments(p_res)
     _add_recorder_arguments(p_res)

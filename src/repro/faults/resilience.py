@@ -496,7 +496,6 @@ def evaluate_resilience(
     interrupt: "InterruptController | None" = None,
     checkpoint: str | None = None,
     resume: bool = False,
-    workers: int | None = None,
 ) -> ResilienceMatrix:
     """Sweep *grid* over one component and judge the converter per cell.
 
@@ -539,11 +538,6 @@ def evaluate_resilience(
         computed cells).  The resumed matrix equals the uninterrupted
         one's cell for cell.  A checkpoint for a different system fails
         lint rule ``QUOT104``.
-    workers:
-        Shard every cell's kernel explorations across this many worker
-        processes (see :mod:`repro.quotient.parallel`); the deterministic
-        merge keeps each cell — and so the whole matrix — byte-identical
-        to a sequential sweep.  ``None`` defers to the ambient count.
     """
     target_idx = _resolve_target(components, target)
     models = tuple(grid) if grid is not None else default_grid(timeout=timeout)
@@ -561,12 +555,7 @@ def evaluate_resilience(
         assert fingerprint is not None
         cells = _load_completed_cells(checkpoint, fingerprint, len(models))
 
-    from contextlib import nullcontext
-
-    from ..quotient.parallel import use_workers
-
-    scope = use_workers(workers) if workers is not None else nullcontext()
-    with scope, obs.span(
+    with obs.span(
         "resilience",
         service=service.name,
         converter=converter.name,

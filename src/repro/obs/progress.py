@@ -265,8 +265,7 @@ class ProgressReporter:
 # (:mod:`repro.serve`) runs one job per worker thread, each with its own
 # reporter streaming into that job's status buffer; a global would
 # cross-wire heartbeats between concurrent jobs.  Single-threaded callers
-# (the CLI, the test suite) see exactly the old semantics, and the
-# parallel kernel is unaffected because its workers are *processes*.
+# (the CLI, the test suite) see one reporter for the whole run.
 _reporters = threading.local()
 
 

@@ -15,7 +15,6 @@ from .diagnose import (
     safety_failure_diagnostic,
 )
 from .hmap import ext_closure, extend_pairs, initial_pairs, ok
-from .parallel import default_workers, effective_workers, use_workers
 from .progress_phase import progress_phase
 from .prune import (
     drop_vacuous_states,
@@ -50,14 +49,11 @@ __all__ = [
     "QuotientProblem",
     "QuotientResult",
     "SafetyPhaseResult",
-    "default_workers",
     "drop_vacuous_states",
-    "effective_workers",
     "ext_closure",
     "extend_pairs",
     "initial_pairs",
     "make_meter",
-    "use_workers",
     "merge_equivalent_states",
     "minimize_converter",
     "ok",

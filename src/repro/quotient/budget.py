@@ -145,8 +145,6 @@ class BudgetMeter:
         "_clock",
         "_started",
         "_ticks",
-        "_units",
-        "duplicate_units",
     )
 
     def __init__(
@@ -170,12 +168,6 @@ class BudgetMeter:
         # performs a wall-clock check: short phases (fewer charges than
         # one interval) would otherwise never see their deadline at all
         self._ticks = TIME_CHECK_INTERVAL - 1
-        # unit-id → (pairs, states), populated only by charge_unit/absorb;
-        # None keeps plain charge() free of any per-unit bookkeeping
-        self._units: dict[object, tuple[int, int]] | None = None
-        # units seen more than once (recovered/duplicated work whose
-        # re-charge was suppressed) — the supervision tests read this
-        self.duplicate_units = 0
 
     # ------------------------------------------------------------------
     def elapsed(self) -> float:
@@ -263,67 +255,6 @@ class BudgetMeter:
             else:
                 obs.event("budget.exceeded", phase=self.phase, limit=err.limit)
             raise err
-
-    # ------------------------------------------------------------------
-    # per-unit accounting (sharded exploration; see repro.quotient.parallel)
-    # ------------------------------------------------------------------
-    def charge_unit(
-        self,
-        unit_id,
-        *,
-        pairs: int = 0,
-        states: int = 0,
-        frontier: int = 0,
-        snapshot: Callable[[], dict] | None = None,
-    ) -> None:
-        """Charge one unit of work exactly once, keyed by *unit_id*.
-
-        A unit charged again under the same id — a shard stolen back by
-        the coordinator and later also reported by the pool, or a replay
-        after :meth:`absorb` — is a no-op, so merged accounting never
-        double-counts.  Unit ids must be hashable and unique per unit of
-        work (the parallel loops use ``(pair_codes, event_index)``).
-        """
-        if self._units is None:
-            self._units = {}
-        if unit_id in self._units:
-            self.duplicate_units += 1
-            return
-        self._units[unit_id] = (pairs, states)
-        self.charge(pairs=pairs, states=states, frontier=frontier,
-                    snapshot=snapshot)
-
-    def fork(self) -> "BudgetMeter":
-        """A shard meter for the same budget and phase.
-
-        The child charges the shared limits against its *own* counters
-        (a shard sees only its slice of the work, so its counts cannot
-        trip a limit the whole phase would not), tracks unit ids from
-        birth, and is merged back with :meth:`absorb`.  Interrupt and
-        progress hooks stay on the parent — the coordinator is the only
-        place where trip points must be deterministic.
-        """
-        child = BudgetMeter(self.budget, self.phase, clock=self._clock)
-        child._units = {}
-        return child
-
-    def absorb(self, child: "BudgetMeter") -> None:
-        """Merge a forked shard meter's per-unit charges into this one.
-
-        Units the parent has already charged (stolen shards, overlapping
-        re-splits) are skipped; the remainder is replayed in the child's
-        charge order, so a limit that trips during absorption trips at a
-        deterministic unit regardless of how the shards were scheduled.
-        """
-        if child._units is None:
-            return
-        if self._units is None:
-            self._units = {}
-        for unit_id, (pairs, states) in child._units.items():
-            if unit_id in self._units:
-                continue
-            self._units[unit_id] = (pairs, states)
-            self.charge(pairs=pairs, states=states)
 
 
 def make_meter(

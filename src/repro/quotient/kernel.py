@@ -347,19 +347,7 @@ def safety_explore_kernel(
     a snapshot in the reference (pair-set) representation — checkpoints
     are path-independent — re-encoded here through the bijective
     ``encode_pair``.
-
-    When the ambient worker count (``--workers`` / ``REPRO_WORKERS`` /
-    :func:`repro.quotient.parallel.use_workers`) is above 1, the
-    extension work is farmed to a process pool with a byte-identical
-    merge; at 1 the pool machinery is bypassed entirely.
     """
-    from .parallel import effective_workers, safety_explore_parallel
-
-    workers = effective_workers()
-    if workers > 1:
-        return safety_explore_parallel(
-            problem, meter, resume=resume, workers=workers
-        )
     cp = compiled_problem(problem)
     int_events = cp.int_events
     n_events = len(int_events)
@@ -460,10 +448,8 @@ def _adjacency_from(
     """The internal product subgraph reachable from *seeds*.
 
     Node code is ``b_id * n_converter + ci``; each node's successor batch
-    is a pure function of the node (given the round's ``succ_c``/``alive``
-    context), so shards crawling from disjoint seed sets produce
-    pointwise-identical entries and merge by plain dict union — the
-    property the parallel progress phase relies on.
+    is a function of the node and the round's ``succ_c``/``alive``
+    context alone.
     """
     lam = cp.cb.int_succ
     int_moves_b = cp.int_moves_b
@@ -509,8 +495,7 @@ def _tau_star_from_adjacency(
     Mirrors ``_composite_tau_star_impl``: Tarjan condensation of the
     internal subgraph, then Ext-event propagation children-first.  The
     result (and the emitted node/SCC counters) depends only on the graph,
-    not on the dict's insertion order, so sequential and merged-shard
-    adjacencies yield identical masks.
+    not on the dict's insertion order.
     """
     ext_mask_b = cp.ext_mask_b
     m = n_converter
@@ -648,93 +633,66 @@ def progress_phase_kernel(problem, c0, f, meter=None, resume=None):
     def snap() -> dict:
         return {"rounds": tuple(rounds)}
 
-    from .parallel import (
-        _emit_executor_stats,
-        _make_executor,
-        effective_workers,
-        parallel_round_adjacency,
-    )
-
-    workers = effective_workers()
-    executor = None
-
-    def round_offered(needed: list[int]) -> dict[int, int]:
-        """The round's ``τ*`` masks — sharded when workers are active."""
-        nonlocal executor
-        if workers > 1:
-            if executor is None:
-                executor = _make_executor(problem, workers)
-            adjacency = parallel_round_adjacency(
-                executor, succ_c, alive, m, needed, len(rounds)
-            )
-            return _tau_star_from_adjacency(cp, adjacency, m)
-        return _round_tau_star(cp, succ_c, alive, m, needed)
-
-    try:
-        with obs.span("progress_phase") as phase_span:
-            while True:
-                with obs.span("progress_round", round=len(rounds)) as round_span:
-                    needed: list[int] = []
-                    for ci in alive:
-                        base = ci
-                        for code in pairs_of[ci]:
-                            needed.append((code % nb) * m + base)
-                    if meter is not None:
-                        meter.charge(
-                            pairs=len(needed), frontier=len(alive), snapshot=snap
-                        )
-                    with obs.span("tau_star", pairs=len(needed)):
-                        offered = round_offered(needed)
-
-                    bad: set[int] = set()
-                    for ci in alive:
-                        for code in pairs_of[ci]:
-                            off = offered[(code % nb) * m + ci]
-                            menu = menus[code // nb]
-                            if not any(accept & off == accept for accept in menu):
-                                bad.add(ci)
-                                break
-                    rounds.append(
-                        ProgressRound(
-                            round_index=len(rounds),
-                            bad_states=frozenset(c_states[ci] for ci in bad),
-                            remaining=len(alive) - len(bad),
-                        )
+    with obs.span("progress_phase") as phase_span:
+        while True:
+            with obs.span("progress_round", round=len(rounds)) as round_span:
+                needed: list[int] = []
+                for ci in alive:
+                    base = ci
+                    for code in pairs_of[ci]:
+                        needed.append((code % nb) * m + base)
+                if meter is not None:
+                    meter.charge(
+                        pairs=len(needed), frontier=len(alive), snapshot=snap
                     )
-                    round_span.set(
-                        pairs_checked=len(needed),
-                        bad=len(bad),
+                with obs.span("tau_star", pairs=len(needed)):
+                    offered = _round_tau_star(cp, succ_c, alive, m, needed)
+
+                bad: set[int] = set()
+                for ci in alive:
+                    for code in pairs_of[ci]:
+                        off = offered[(code % nb) * m + ci]
+                        menu = menus[code // nb]
+                        if not any(accept & off == accept for accept in menu):
+                            bad.add(ci)
+                            break
+                rounds.append(
+                    ProgressRound(
+                        round_index=len(rounds),
+                        bad_states=frozenset(c_states[ci] for ci in bad),
                         remaining=len(alive) - len(bad),
                     )
-                    obs.add("quotient.progress.rounds", 1)
-                    obs.add("quotient.progress.pairs_checked", len(needed))
-                    obs.add("quotient.progress.bad_states_removed", len(bad))
-                if not bad:
-                    phase_span.set(exists=True, rounds=len(rounds))
-                    obs.gauge("quotient.progress.final_states", len(alive))
-                    if len(rounds) == 1:
-                        spec = c0
-                    else:
-                        keep = {c_states[ci] for ci in alive}
-                        spec = Specification(
-                            c0.name,
-                            keep,
-                            c0.alphabet,
-                            (
-                                (s, e, s2)
-                                for s, e, s2 in c0.external
-                                if s in keep and s2 in keep
-                            ),
-                            (),
-                            c0.initial,
-                        )
-                    return ProgressPhaseResult(spec=spec, rounds=tuple(rounds))
-                if initial_ci in bad or len(bad) == len(alive):
-                    phase_span.set(exists=False, rounds=len(rounds))
-                    obs.gauge("quotient.progress.final_states", 0)
-                    return ProgressPhaseResult(spec=None, rounds=tuple(rounds))
-                alive -= bad
-    finally:
-        if executor is not None:
-            executor.close()
-            _emit_executor_stats(executor)
+                )
+                round_span.set(
+                    pairs_checked=len(needed),
+                    bad=len(bad),
+                    remaining=len(alive) - len(bad),
+                )
+                obs.add("quotient.progress.rounds", 1)
+                obs.add("quotient.progress.pairs_checked", len(needed))
+                obs.add("quotient.progress.bad_states_removed", len(bad))
+            if not bad:
+                phase_span.set(exists=True, rounds=len(rounds))
+                obs.gauge("quotient.progress.final_states", len(alive))
+                if len(rounds) == 1:
+                    spec = c0
+                else:
+                    keep = {c_states[ci] for ci in alive}
+                    spec = Specification(
+                        c0.name,
+                        keep,
+                        c0.alphabet,
+                        (
+                            (s, e, s2)
+                            for s, e, s2 in c0.external
+                            if s in keep and s2 in keep
+                        ),
+                        (),
+                        c0.initial,
+                    )
+                return ProgressPhaseResult(spec=spec, rounds=tuple(rounds))
+            if initial_ci in bad or len(bad) == len(alive):
+                phase_span.set(exists=False, rounds=len(rounds))
+                obs.gauge("quotient.progress.final_states", 0)
+                return ProgressPhaseResult(spec=None, rounds=tuple(rounds))
+            alive -= bad

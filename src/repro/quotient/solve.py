@@ -52,7 +52,6 @@ def solve_quotient(
     budget: Budget | None = None,
     interrupt: "InterruptController | None" = None,
     resume_from: "Checkpoint | None" = None,
-    workers: int | None = None,
 ) -> QuotientResult:
     """Compute the quotient ``service / component``.
 
@@ -111,14 +110,6 @@ def solve_quotient(
         :class:`~repro.errors.LintError` (rule ``QUOT104``).  Budgets are
         per-run: the resumed run charges fresh meters, so pass a larger
         budget (or none) or the same limit will trip again.
-    workers:
-        Shard the kernel explorations across this many worker processes
-        (see :mod:`repro.quotient.parallel`).  The merge is
-        deterministic, so any worker count — including resuming a
-        checkpoint under a different one — produces byte-identical
-        results.  ``None`` defers to the ambient count
-        (``REPRO_WORKERS`` / :func:`~repro.quotient.parallel.use_workers`,
-        default sequential); ``1`` forces the sequential kernel.
 
     Returns
     -------
@@ -129,13 +120,7 @@ def solve_quotient(
         pair set.  When an :mod:`repro.obs` collector is recording,
         ``result.stats`` carries the collected metrics snapshot.
     """
-    from contextlib import nullcontext
-
-    from .parallel import drain_degradations, use_workers
-
-    drain_degradations()  # drop stale records from an earlier failed run
-    scope = use_workers(workers) if workers is not None else nullcontext()
-    with scope, obs.span(
+    with obs.span(
         "solve_quotient", service=service.name, component=component.name
     ) as sp:
         result = _solve(
@@ -153,9 +138,6 @@ def solve_quotient(
     stats = obs.snapshot_if_recording()
     if stats is not None:
         result = replace(result, stats=stats)
-    degradations = drain_degradations()
-    if degradations:
-        result = replace(result, degradations=degradations)
     return result
 
 

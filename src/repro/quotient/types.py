@@ -144,12 +144,7 @@ class QuotientResult:
       asked to verify and a converter exists);
     * ``stats`` — the :class:`~repro.obs.MetricsSnapshot` collected during
       the run (populated only when an :mod:`repro.obs` collector was
-      recording; ``None`` under the default no-op collector);
-    * ``degradations`` — structured
-      :class:`~repro.quotient.parallel.DegradedExecution` records, one
-      per parallel executor that exhausted its worker-respawn budget and
-      drained sequentially.  Empty on every healthy run; when non-empty
-      the result is still exact, but the run limped.
+      recording; ``None`` under the default no-op collector).
     """
 
     problem: QuotientProblem
@@ -162,7 +157,6 @@ class QuotientResult:
     progress: ProgressPhaseResult | None = None
     verification: object | None = None
     stats: MetricsSnapshot | None = None
-    degradations: tuple = ()
 
     def __bool__(self) -> bool:
         return self.exists
@@ -242,11 +236,6 @@ class QuotientResult:
             payload["verified"] = bool(getattr(self.verification, "holds", False))
         if self.stats is not None:
             payload["stats"] = self.stats.to_dict()
-        if self.degradations:
-            # only on unhealthy runs, so healthy outputs stay byte-stable
-            payload["degradations"] = [
-                d.to_json_dict() for d in self.degradations
-            ]
         return payload
 
     def summary(self) -> str:

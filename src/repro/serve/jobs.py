@@ -18,10 +18,10 @@ poison the cache for an unbudgeted one.
 
 :func:`execute_job` is the pure execution core — no queueing, retry, or
 persistence; that is :mod:`repro.serve.workers`' business.  Its returned
-body is *canonical*: machine-dependent fields (``stats``) and
-execution-history fields (``degradations``) are stripped, so a cached,
-retried, resumed, or degraded execution is byte-identical to a direct
-:func:`~repro.quotient.solve_quotient` call on the same inputs.
+body is *canonical*: machine-dependent fields (``stats``) are stripped,
+so a cached, retried, resumed, or degraded execution is byte-identical
+to a direct :func:`~repro.quotient.solve_quotient` call on the same
+inputs.
 """
 
 from __future__ import annotations
@@ -224,15 +224,12 @@ class ExecutionOutcome:
 
     ``body`` is the canonical result (cacheable, byte-stable);
     ``counters`` the nested deterministic work counters for the run
-    ledger; ``degradations`` any :class:`~repro.quotient.parallel.
-    DegradedExecution` records drained from the run (execution history,
-    kept out of ``body`` by construction).
+    ledger.
     """
 
     body: dict
     verdict: str | None
     counters: dict = field(default_factory=dict)
-    degradations: tuple = ()
 
 
 def execute_job(
@@ -263,13 +260,10 @@ def execute_job(
         )
         body = result.to_json_dict()
         body.pop("stats", None)
-        body.pop("degradations", None)
-        counters = result.phase_counters()
         return ExecutionOutcome(
             body=body,
             verdict="converter" if result.exists else "no-converter",
-            counters=counters,
-            degradations=result.degradations,
+            counters=result.phase_counters(),
         )
     if request.kind == "resilience":
         from ..faults import default_grid, evaluate_resilience

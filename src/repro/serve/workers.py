@@ -17,8 +17,8 @@
 3. **Respawn-budget exhaustion** flips the supervisor into degraded
    mode: no further faults are consulted, jobs drain in-process
    sequentially, and every affected job carries a
-   :class:`~repro.quotient.parallel.DegradedExecution` record — the
-   answer is still exact, only the execution story changed.
+   :class:`DegradedExecution` record — the answer is still exact, only
+   the execution story changed.
 4. **Budgets and deadlines** surface as ``partial-budget`` /
    ``partial-interrupt`` outcomes with a persisted checkpoint, so a
    resubmission (or a restarted server) picks up where the job stopped.
@@ -45,11 +45,15 @@ from .. import chaos, obs
 from ..chaos import RetryPolicy
 from ..errors import BudgetExceeded, InterruptRequested, ReproError
 from ..persist import InterruptController
-from ..quotient.parallel import DegradedExecution
 from .jobs import JobRequest, execute_job
 from .store_index import ResultStore
 
-__all__ = ["DEFAULT_JOB_RETRY", "JobOutcome", "WorkerSupervisor"]
+__all__ = [
+    "DEFAULT_JOB_RETRY",
+    "DegradedExecution",
+    "JobOutcome",
+    "WorkerSupervisor",
+]
 
 #: Retry policy for transiently failing job attempts.
 DEFAULT_JOB_RETRY = RetryPolicy(
@@ -86,6 +90,24 @@ def _default_kill_charge_span() -> int:
 DRAIN_REASON = "server drain"
 
 
+@dataclass(frozen=True)
+class DegradedExecution:
+    """A job that ran after the supervisor stopped injecting faults.
+
+    Recorded, never raised: once the respawn budget is spent the
+    supervisor drains jobs in-process, and each affected job's record
+    carries one of these (and a ``serve.degraded`` event is emitted), so
+    an operator can see that the answer is exact but the server was not
+    healthy.
+    """
+
+    reason: str
+    worker_deaths: int
+
+    def to_json_dict(self) -> dict:
+        return {"reason": self.reason, "worker_deaths": self.worker_deaths}
+
+
 @dataclass
 class JobOutcome:
     """Everything the app layer needs to finalize one job."""
@@ -107,9 +129,9 @@ class WorkerSupervisor:
     """Shared supervision state for all worker threads of one server.
 
     *respawn_budget* bounds how many simulated worker deaths the server
-    absorbs before degrading to sequential in-process draining (mirrors
-    ``REPRO_RESPAWN_BUDGET`` in the parallel kernel).  *sleep* and
-    *clock* are injectable so tests run without real waiting.
+    absorbs before degrading to sequential in-process draining
+    (``serve --respawn-budget``).  *sleep* and *clock* are injectable so
+    tests run without real waiting.
     """
 
     def __init__(
@@ -147,9 +169,7 @@ class WorkerSupervisor:
 
     def _degrade(self, reason: str, deaths: int) -> DegradedExecution:
         self.degraded = True
-        record = DegradedExecution(
-            reason=reason, worker_deaths=deaths, pending_units=0
-        )
+        record = DegradedExecution(reason=reason, worker_deaths=deaths)
         obs.event("serve.degraded", reason=reason)
         return record
 
@@ -184,7 +204,6 @@ class WorkerSupervisor:
                 DegradedExecution(
                     reason="serve worker pool degraded; draining in-process",
                     worker_deaths=self.worker_deaths,
-                    pending_units=0,
                 )
             )
         while True:
@@ -269,7 +288,6 @@ class WorkerSupervisor:
             outcome.body = result.body
             outcome.verdict = result.verdict
             outcome.counters = dict(result.counters)
-            degradations.extend(result.degradations)
             break
         outcome.worker_deaths = deaths
         outcome.degradations = [d.to_json_dict() for d in degradations]

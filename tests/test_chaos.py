@@ -21,17 +21,25 @@ from repro.errors import ReproError
 class TestChaosPlan:
     def test_from_spec_parses_every_knob_kind(self):
         plan = ChaosPlan.from_spec(
-            "seed=7, p_kill=0.25, kill_at=2:5, hang_s=1.5, delay_polls=3"
+            "seed=7, p_kill=0.25, kill_at=2:5, sites=serve.job"
         )
         assert plan.seed == 7
         assert plan.p_kill == 0.25
         assert plan.kill_at == (2, 5)
-        assert plan.hang_s == 1.5
-        assert plan.delay_polls == 3
+        assert plan.sites == ("serve.job",)
 
     def test_from_spec_rejects_unknown_keys(self):
         with pytest.raises(ReproError, match="unknown chaos spec key"):
             ChaosPlan.from_spec("p_kil=0.5")
+
+    @pytest.mark.parametrize("spec", ["p_dup=0.1", "sites=worker.task"])
+    def test_from_spec_rejects_removed_knobs_and_sites(self, spec):
+        """Specs written for the removed pool-worker and executor-result
+        sites fail loudly instead of silently injecting nothing."""
+        from repro.chaos.plan import ChaosSpecError
+
+        with pytest.raises(ChaosSpecError):
+            ChaosPlan.from_spec(spec)
 
     def test_from_spec_rejects_malformed_entries(self):
         with pytest.raises(ReproError, match="not key=value"):
@@ -44,10 +52,6 @@ class TestChaosPlan:
             ChaosPlan(p_kill=1.5)
         with pytest.raises(ReproError, match="non-negative"):
             ChaosPlan(kill_at=(-1,))
-        with pytest.raises(ReproError, match="hang_s"):
-            ChaosPlan(hang_s=-1.0)
-        with pytest.raises(ReproError, match="delay_polls"):
-            ChaosPlan(delay_polls=0)
 
     def test_explicit_indices_fire_exactly(self):
         plan = ChaosPlan(kill_at=(1, 3))
@@ -80,19 +84,6 @@ class TestChaosPlan:
         assert plan.store_write_fault(2) == "error"
         assert plan.store_write_fault(3) is None
 
-    def test_result_faults(self):
-        plan = ChaosPlan(delay_at=(1,), delay_polls=4, dup_at=(2,))
-        assert plan.result_delay(0) == 0
-        assert plan.result_delay(1) == 4
-        assert plan.result_duplicate(2) is True
-        assert plan.result_duplicate(1) is False
-
-    def test_wants_workers(self):
-        assert not ChaosPlan().wants_workers
-        assert not ChaosPlan(p_write_enospc=0.5, p_delay=0.2).wants_workers
-        assert ChaosPlan(kill_at=(0,)).wants_workers
-        assert ChaosPlan(p_hang=0.1).wants_workers
-
     def test_plan_is_picklable(self):
         import pickle
 
@@ -119,11 +110,6 @@ class TestChaosState:
         assert counters["chaos.injected"] == 2
         assert counters["chaos.injected.store.write.enospc"] == 1
         assert counters["chaos.injected.store.read"] == 1
-
-    def test_result_fault_consults_both_knobs_on_one_index(self):
-        state = ChaosState(ChaosPlan(delay_at=(0,), dup_at=(0,), delay_polls=2))
-        assert state.result_fault() == (2, True)
-        assert state.result_fault() == (0, False)
 
 
 # ----------------------------------------------------------------------
@@ -298,15 +284,14 @@ class TestSiteFilter:
         plan = ChaosPlan(sites=("serve.job", "store.write"))
         assert plan.site_enabled("serve.job")
         assert plan.site_enabled("store.write")
-        assert not plan.site_enabled("worker.task")
         assert not plan.site_enabled("store.read")
 
     def test_unknown_site_name_is_a_structured_error(self):
         from repro.chaos.plan import SITES, ChaosSpecError
 
         with pytest.raises(ChaosSpecError) as info:
-            ChaosPlan(sites=("serve.job", "worker.tsak"))
-        assert info.value.unknown == ("worker.tsak",)
+            ChaosPlan(sites=("serve.job", "store.wirte"))
+        assert info.value.unknown == ("store.wirte",)
         assert info.value.valid == SITES
         # the message itself lists every valid site — a typo must come
         # back with the menu, not a silent no-op

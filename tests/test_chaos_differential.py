@@ -1,56 +1,24 @@
-"""Differential suite: chaotic runs are byte-identical to fault-free runs.
+"""Differential suite: checkpoints survive store faults byte-identically.
 
-The contract pinned here is the whole point of the supervision layer
-(see ``docs/robustness.md``): for ANY problem and ANY seeded
-:class:`~repro.chaos.ChaosPlan` — workers killed or hung at arbitrary
-tasks, tasks raising, results arriving late or twice, store I/O hitting
-``ENOSPC``/``EIO``/torn writes — every observable output (converter,
-``f``, phase records, deterministic work counters, budget trip points,
-checkpoints) equals the fault-free run's.  Chaos may only change
-*scheduling* statistics and add ``chaos.*``/``retry.*``/supervision
-counters.
-
-The sweep drives the REAL :class:`~repro.quotient.parallel.ShardExecutor`
-supervision logic (detection, inline recovery, respawn accounting,
-degradation) over :class:`~repro.chaos.testing.InlinePool` process
-doubles with a fake clock, so 200+ random problems run without process
-spawns or real waiting; ``TestRealPoolSupervision`` then pins the same
-behaviours on actual multiprocessing pools.
+For a seeded :class:`~repro.chaos.ChaosPlan` that makes store I/O hit
+``ENOSPC``/``EIO``/torn writes (see ``docs/robustness.md``), a solve
+interrupted mid-run, checkpointed through the faulty store, reloaded and
+resumed must equal the uninterrupted fault-free run in every observable
+output (converter, ``f``, phase records, verification verdict).  The
+served-job faults (``serve.job`` kill / hang / raise) are pinned end to
+end by ``tests/test_serve_differential.py``.
 """
-
-import time
 
 import pytest
 
-from repro import obs
 from repro.chaos import ChaosPlan, use_chaos
-from repro.chaos.testing import chaos_executor_factory
-from repro.errors import BudgetExceeded
 from repro.persist import (
     InterruptController,
     load_checkpoint,
     save_checkpoint,
 )
-from repro.quotient import Budget, solve_quotient
-from repro.quotient.parallel import ShardExecutor, _use_executor_factory
-from repro.quotient.types import QuotientProblem
+from repro.quotient import solve_quotient
 from repro.spec import random_quotient_instance
-
-#: Deterministic work counters that must survive any fault schedule.
-DETERMINISTIC_PREFIXES = ("quotient.",)
-
-#: Fault archetypes swept below.  Each gets its own band of problem
-#: seeds, so the suite covers ``len(ARCHETYPES) * SEEDS_PER_ARCHETYPE``
-#: distinct problems (>= 200), each under a problem-seeded schedule.
-ARCHETYPES = {
-    "kills": dict(p_kill=0.15),
-    "hangs": dict(hang_at=(0, 2), p_hang=0.05),
-    "raises": dict(p_raise=0.2),
-    "late-and-twice": dict(p_delay=0.3, p_dup=0.3, delay_polls=3),
-    "mixed": dict(p_kill=0.08, p_raise=0.08, p_delay=0.15, p_dup=0.15),
-    "massacre": dict(kill_at=(0,), p_kill=0.5),  # degradation territory
-}
-SEEDS_PER_ARCHETYPE = 34
 
 
 def _solve(instance, **kwargs):
@@ -72,89 +40,6 @@ def _key(result):
         None if result.progress is None else result.progress.rounds,
         None if result.verification is None else result.verification.holds,
     )
-
-
-def _work_counters(stats):
-    return {
-        name: value
-        for name, value in stats.counters.items()
-        if name.startswith(DETERMINISTIC_PREFIXES)
-    }
-
-
-# ----------------------------------------------------------------------
-# the 200+-problem sweep (in-process pool doubles, fake clock)
-# ----------------------------------------------------------------------
-class TestChaosDifferentialSweep:
-    @pytest.mark.parametrize("archetype", sorted(ARCHETYPES))
-    def test_archetype_is_byte_identical(self, archetype):
-        knobs = ARCHETYPES[archetype]
-        base = sorted(ARCHETYPES).index(archetype) * SEEDS_PER_ARCHETYPE
-        respawn_budget = 0 if archetype == "massacre" else 1_000
-        degradations = 0
-        for seed in range(base, base + SEEDS_PER_ARCHETYPE):
-            instance = random_quotient_instance(seed=seed)
-            with obs.use_collector() as collector:
-                baseline = _solve(instance)
-            base_work = _work_counters(collector.snapshot())
-            plan = ChaosPlan(seed=seed, **knobs)
-            factory = chaos_executor_factory(respawn_budget=respawn_budget)
-            workers = 2 + seed % 3
-            with use_chaos(plan), _use_executor_factory(factory), \
-                    obs.use_collector() as collector:
-                chaotic = _solve(instance, workers=workers)
-            assert _key(chaotic) == _key(baseline), (
-                f"{archetype}: outputs diverged at seed {seed}"
-            )
-            assert _work_counters(collector.snapshot()) == base_work, (
-                f"{archetype}: work counters diverged at seed {seed}"
-            )
-            degradations += len(chaotic.degradations)
-        if archetype == "massacre":
-            # respawn_budget=0 plus a guaranteed first-task kill: the
-            # sweep must actually exercise sequential draining
-            assert degradations > 0
-
-    def test_sweep_covers_at_least_200_problems(self):
-        assert len(ARCHETYPES) * SEEDS_PER_ARCHETYPE >= 200
-
-
-# ----------------------------------------------------------------------
-# budget trip points survive crash schedules (charged exactly once)
-# ----------------------------------------------------------------------
-class TestBudgetUnderChaos:
-    # seeds with runs long enough to have an interior trip point
-    SEEDS = (1, 18, 20, 22, 53)
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_trip_point_identical_under_crashes_and_duplicates(self, seed):
-        instance = random_quotient_instance(seed=seed)
-        probe = InterruptController()
-        _solve(instance, interrupt=probe)
-        if probe.charges < 4:
-            pytest.skip("run too short for an interior budget limit")
-        budget = Budget(max_pairs=probe.charges // 2)
-
-        def trip(**kwargs):
-            try:
-                _solve(instance, budget=budget, **kwargs)
-            except BudgetExceeded as exc:
-                return exc.phase, exc.partial, exc.checkpoint.to_json_dict()
-            return None
-
-        baseline = trip()
-        assert baseline is not None
-        plan = ChaosPlan(
-            seed=seed, p_kill=0.1, p_raise=0.1, p_delay=0.2, p_dup=0.3
-        )
-        with use_chaos(plan), _use_executor_factory(chaos_executor_factory()):
-            chaotic = trip(workers=4)
-        assert chaotic is not None
-        got, want = dict(chaotic[1]), dict(baseline[1])
-        got.pop("elapsed_s"), want.pop("elapsed_s")
-        assert got == want  # same partial work: units charged exactly once
-        assert chaotic[0] == baseline[0]
-        assert chaotic[2] == baseline[2]  # identical checkpoint payload
 
 
 # ----------------------------------------------------------------------
@@ -189,134 +74,3 @@ class TestCheckpointsUnderStoreChaos:
             loaded = load_checkpoint(path)
         resumed = _solve(instance, resume_from=loaded)
         assert _key(resumed) == _key(baseline)
-
-
-# ----------------------------------------------------------------------
-# real multiprocessing pools: kill, hang, degrade, leak-free exit
-# ----------------------------------------------------------------------
-def _build_problem(seed=0):
-    service, component, internal, _ = random_quotient_instance(seed=seed)
-    return QuotientProblem.build(service, component, internal)
-
-
-class TestRealPoolSupervision:
-    def test_killed_workers_recover_byte_identical(self, monkeypatch):
-        """Workers killed at their 2nd task at --workers 4: the solve
-        completes, outputs match, and no unit is charged twice."""
-        monkeypatch.setenv("REPRO_RESPAWN_BUDGET", "10000")
-        instance = random_quotient_instance(seed=1)
-        probe = InterruptController()
-        baseline = _solve(instance, interrupt=probe)
-        plan = ChaosPlan(kill_at=(1,))
-        chaotic_probe = InterruptController()
-        with use_chaos(plan), obs.use_collector() as collector:
-            chaotic = _solve(
-                instance, workers=4, interrupt=chaotic_probe
-            )
-        assert _key(chaotic) == _key(baseline)
-        # the interrupt controller counts charges: identical totals mean
-        # completed units were not re-charged by the recovery machinery
-        assert chaotic_probe.charges == probe.charges
-        counters = collector.snapshot().counters
-        if "kernel.parallel.worker_deaths" in counters:
-            assert counters["kernel.parallel.worker_deaths"] >= 1
-        assert chaotic.degradations == ()
-
-    def test_hung_workers_recover_via_task_deadline(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TASK_DEADLINE", "0.1")
-        instance = random_quotient_instance(seed=1)
-        baseline = _solve(instance)
-        # both workers wedge on their first task for far longer than the
-        # deadline; the coordinator must recover inline and move on
-        plan = ChaosPlan(hang_at=(0,), hang_s=20.0)
-        with use_chaos(plan), obs.use_collector() as collector:
-            chaotic = _solve(instance, workers=2)
-        assert _key(chaotic) == _key(baseline)
-        counters = collector.snapshot().counters
-        assert counters.get("kernel.parallel.recovered_units", 0) >= 1
-
-    def test_respawn_exhaustion_degrades_to_sequential(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RESPAWN_BUDGET", "0")
-        instance = random_quotient_instance(seed=1)
-        baseline = _solve(instance)
-        plan = ChaosPlan(kill_at=(0,))  # every worker dies at its 1st task
-        with use_chaos(plan), obs.use_collector() as collector:
-            chaotic = _solve(instance, workers=2)
-        assert _key(chaotic) == _key(baseline)
-        assert len(chaotic.degradations) >= 1
-        record = chaotic.degradations[0]
-        assert "respawn budget" in record.reason
-        assert record.worker_deaths >= 1
-        # the structured record also lands in the stats event stream and
-        # the JSON payload, so ledgers and dashboards can see it
-        snapshot = collector.snapshot()
-        assert any(
-            e.name == "executor.degraded" for e in snapshot.events
-        )
-        payload = chaotic.to_json_dict()
-        assert payload["degradations"][0]["reason"] == record.reason
-
-    def test_healthy_runs_carry_no_degradations(self):
-        instance = random_quotient_instance(seed=1)
-        result = _solve(instance, workers=2)
-        assert result.degradations == ()
-        assert "degradations" not in result.to_json_dict()
-
-
-class TestExecutorLifecycle:
-    def test_context_manager_terminates_pool_on_exception(self):
-        problem = _build_problem(seed=0)
-        with pytest.raises(RuntimeError, match="boom"):
-            with ShardExecutor(problem, 2) as executor:
-                procs = list(executor._pool._pool)
-                assert all(p.is_alive() for p in procs)
-                raise RuntimeError("boom")
-        deadline = time.monotonic() + 10
-        while any(p.is_alive() for p in procs):
-            assert time.monotonic() < deadline, "worker processes leaked"
-            time.sleep(0.02)
-        assert executor._closed
-
-    def test_close_is_idempotent(self):
-        problem = _build_problem(seed=0)
-        executor = ShardExecutor(problem, 2)
-        executor.close()
-        executor.close()
-        with ShardExecutor(problem, 2) as again:
-            pass
-        again.close()
-
-    def test_degraded_executor_drains_inline_and_closes(self):
-        """Unit-level degradation: pending work is still delivered after
-        the pool is gone, and close() stays safe."""
-        problem = _build_problem(seed=0)
-        with ShardExecutor(problem, 2) as executor:
-            cp = executor._cp
-            start = cp.ext_closure(
-                [cp.ca.initial * cp.n_component + cp.cb.initial]
-            )
-            assert start is not None
-            executor.submit(("k", start), "safety", (start,))
-            executor._degrade("test-forced degradation")
-            assert executor._pool is None
-            out = executor.result(("k", start))
-            expected = tuple(
-                cp.extend(start, k) for k in range(len(cp.int_events))
-            )
-            assert out == expected
-        from repro.quotient.parallel import drain_degradations
-
-        records = drain_degradations()
-        assert any(r.reason == "test-forced degradation" for r in records)
-
-
-class TestMeterDuplicateAccounting:
-    def test_duplicate_units_are_counted_and_charged_once(self):
-        from repro.quotient.budget import BudgetMeter
-
-        meter = BudgetMeter(Budget(), "safety")
-        meter.charge_unit("u", pairs=1)
-        meter.charge_unit("u", pairs=1)
-        meter.charge_unit("u", pairs=1)
-        assert meter.pairs == 1
-        assert meter.duplicate_units == 2
