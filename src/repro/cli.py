@@ -55,11 +55,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import sys
 import time
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import obs
 from .analysis.explain import explain_converter
@@ -93,8 +94,93 @@ def _pick(specs: dict[str, Specification], name: str) -> Specification:
 
 
 # ----------------------------------------------------------------------
-# observability flags (shared by solve / compose / check / simulate /
-# diagnose; see docs/observability.md)
+# flag parsers and the flags several subcommands share
+# ----------------------------------------------------------------------
+def _names(text: str) -> list[str] | None:
+    """A comma-separated flag value (``--int``, ``--select``, ``--ignore``)."""
+    return text.split(",") if text else None
+
+
+def _target(text: str) -> int | str:
+    """``--target``: a component index when numeric, else a component name."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
+def _severities(args: argparse.Namespace) -> tuple[int, ...]:
+    try:
+        levels = tuple(
+            int(s) for s in args.severities.split(",") if s.strip()
+        )
+    except ValueError as exc:
+        raise ReproError(f"bad --severities: {exc}") from exc
+    if not levels:
+        raise ReproError("--severities must name at least one level")
+    return levels
+
+
+def _add_int_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--int", dest="int_events", type=_names, default=None,
+        metavar="EV,EV,...",
+        help="declared Int events (the converter-facing interface)",
+    )
+
+
+def _add_report_arguments(parser: argparse.ArgumentParser) -> None:
+    """The diagnostics output flags of ``lint`` and ``analyze``."""
+    parser.add_argument(
+        "--format", choices=["text", "json", "sarif"], default="text",
+        help="output format (default text)",
+    )
+    parser.add_argument(
+        "--select", type=_names, default=None, metavar="CODES",
+        help="comma-separated rule codes/prefixes to run (e.g. SPEC,SEM204)",
+    )
+    parser.add_argument(
+        "--ignore", type=_names, default=None, metavar="CODES",
+        help="comma-separated rule codes/prefixes to skip",
+    )
+    parser.add_argument(
+        "--fail-on", choices=["error", "warning"], default="error",
+        help="lowest severity that makes the exit code 2 (default error: "
+        "warnings-only runs exit 0)",
+    )
+
+
+def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
+    """The fault-sweep flags of ``resilience`` and ``submit``."""
+    parser.add_argument(
+        "--target", type=_target, default=None, metavar="NAME|IDX",
+        help="component to fault, by name or index (default: the first "
+        "channel-shaped one)",
+    )
+    parser.add_argument(
+        "--severities", default="1,2", metavar="N,N,...",
+        help="severity levels to sweep (default 1,2)",
+    )
+    parser.add_argument(
+        "--timeout", default="timeout", metavar="EVENT",
+        help="timeout event the loss model adds (default 'timeout')",
+    )
+
+
+def _add_server_arguments(parser: argparse.ArgumentParser) -> None:
+    """Where ``submit``/``status`` reach the server, and how long they wait."""
+    group = parser.add_argument_group("server")
+    group.add_argument("--host", default="127.0.0.1")
+    group.add_argument("--port", type=int, required=True)
+    group.add_argument(
+        "--timeout-s", type=float, default=120.0, metavar="SECONDS",
+        help="ceiling for --wait (default 120)",
+    )
+
+
+# ----------------------------------------------------------------------
+# observability flags (solve / resilience / analyze / lint / compose /
+# check / simulate; see docs/observability.md)
 # ----------------------------------------------------------------------
 def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("observability")
@@ -115,60 +201,8 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _wants_observation(args: argparse.Namespace) -> bool:
-    return bool(
-        getattr(args, "profile", False)
-        or getattr(args, "trace", None)
-        or getattr(args, "metrics", None)
-    )
-
-
-def _run_observed(args: argparse.Namespace, body: Callable[[], int]) -> int:
-    """Run *body* under a recording collector when any obs flag is set,
-    then export as requested (exports go after the command's own output).
-
-    Exports also run when *body* raises — a budget trip or interrupt
-    propagating out of ``lint``/``analyze`` must not lose the partial
-    trace/metrics (those runs are precisely the ones worth inspecting).
-    """
-    if not _wants_observation(args):
-        return body()
-    collector = obs.MetricsCollector()
-    try:
-        with obs.use_collector(collector):
-            return body()
-    finally:
-        in_flight = sys.exc_info()[0] is not None
-        snapshot = collector.snapshot()
-        if args.trace:
-            try:
-                obs.write_chrome_trace(snapshot, args.trace)
-            except OSError as exc:
-                if in_flight:
-                    # don't mask the partial-exit exception with an
-                    # export failure; the trace is best-effort here
-                    print(
-                        f"warning: cannot write trace {args.trace!r}: {exc}",
-                        file=sys.stderr,
-                    )
-                else:
-                    raise ReproError(
-                        f"cannot write trace {args.trace!r}: {exc}"
-                    ) from exc
-            else:
-                print(f"trace written to {args.trace}", file=sys.stderr)
-        if args.profile:
-            print()
-            print(snapshot.render_text())
-        if args.metrics == "text":
-            print()
-            print(snapshot.render_metrics_text())
-        elif args.metrics == "json":
-            print(snapshot.to_json())
-
-
 # ----------------------------------------------------------------------
-# budget flags (shared by solve / resilience; see docs/robustness.md)
+# budget flags (solve / resilience / analyze / lint; docs/robustness.md)
 # ----------------------------------------------------------------------
 def _add_budget_arguments(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("budget")
@@ -218,16 +252,6 @@ def _add_chaos_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _chaos_scope(args: argparse.Namespace):
-    """A scoped chaos plan from ``--chaos`` (``REPRO_CHAOS`` otherwise)."""
-    spec = getattr(args, "chaos", None)
-    if spec is None:
-        return contextlib.nullcontext()
-    from . import chaos
-
-    return chaos.use_chaos(chaos.ChaosPlan.from_spec(spec))
-
-
 # ----------------------------------------------------------------------
 # checkpoint / resume / deadline flags (solve, resilience; docs/CLI.md)
 # ----------------------------------------------------------------------
@@ -250,76 +274,6 @@ def _add_persist_arguments(parser: argparse.ArgumentParser) -> None:
         help="stop cooperatively after SECONDS of wall time with a "
         "consistent checkpoint, unlike the hard per-phase --budget-time",
     )
-
-
-def _interrupt_from_args(args: argparse.Namespace):
-    """A controller when graceful interruption is wanted, else ``None``.
-
-    A checkpoint path alone is enough: with a controller installed,
-    Ctrl-C stops at a charge boundary and the snapshot is written.
-    """
-    if args.deadline is None and args.checkpoint is None:
-        return None
-    from .persist import InterruptController
-
-    return InterruptController(deadline_s=args.deadline)
-
-
-def _sigint_scope(interrupt):
-    if interrupt is None:
-        return contextlib.nullcontext()
-    # SIGTERM gets the same cooperative treatment as Ctrl-C: an
-    # orchestrator draining this run still leaves a consistent checkpoint
-    return interrupt.install_signals()
-
-
-def _resume_checkpoint_from_args(args: argparse.Namespace):
-    if not getattr(args, "resume", False):
-        return None
-    if args.checkpoint is None:
-        raise ReproError("--resume requires --checkpoint FILE")
-    from .persist import load_checkpoint
-
-    return load_checkpoint(args.checkpoint)
-
-
-def _emit_partial(
-    args: argparse.Namespace, exc: BudgetExceeded | InterruptRequested
-) -> int:
-    """Report an interrupted/over-budget run and write its checkpoint.
-
-    The output always carries the explicit ``guarantees: partial``
-    marker.  Exit code is 4 when a checkpoint was written (or the stop
-    was a cooperative interrupt), 3 for a plain budget trip.
-    """
-    from .persist import anytime_summary, render_anytime_text, save_checkpoint
-
-    ckpt = getattr(exc, "checkpoint", None)
-    written = None
-    if args.checkpoint is not None and ckpt is not None:
-        save_checkpoint(args.checkpoint, ckpt)
-        written = args.checkpoint
-    if args.format == "json":
-        payload = exc.to_json_dict()
-        payload["guarantees"] = "partial"
-        if ckpt is not None:
-            payload["anytime"] = anytime_summary(ckpt)
-        payload["checkpoint"] = written
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        label = (
-            "interrupted"
-            if isinstance(exc, InterruptRequested)
-            else "budget exceeded"
-        )
-        print(f"{label}: {exc}")
-        if ckpt is not None:
-            print(render_anytime_text(anytime_summary(ckpt)))
-        else:
-            print("guarantees: partial")
-        if written is not None:
-            print(f"checkpoint written to {written} (continue with --resume)")
-    return 4 if written is not None or isinstance(exc, InterruptRequested) else 3
 
 
 # ----------------------------------------------------------------------
@@ -347,105 +301,9 @@ def _add_recorder_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-@contextlib.contextmanager
-def _progress_scope(args: argparse.Namespace, budget):
-    """Install a :class:`~repro.obs.ProgressReporter` when requested.
-
-    Yields the reporter (or ``None`` when no progress flag is set).  The
-    terminal ``done`` event is emitted on scope exit: ``complete`` on a
-    clean exit, ``partial-budget`` / ``partial-interrupt`` when the
-    corresponding exception propagates out.  ``finish()`` is idempotent,
-    so bodies may also report a specific outcome on early-return paths
-    (e.g. a baseline budget trip handled inside the scope).
-    """
-    wants_human = getattr(args, "progress", False)
-    json_path = getattr(args, "progress_json", None)
-    if not wants_human and json_path is None:
-        yield None
-        return
-    with contextlib.ExitStack() as stack:
-        if json_path is None:
-            jsonl = None
-        elif json_path == "-":
-            jsonl = sys.stderr
-        else:
-            try:
-                jsonl = stack.enter_context(
-                    open(json_path, "w", encoding="utf-8")
-                )
-            except OSError as exc:
-                raise ReproError(
-                    f"cannot open progress stream {json_path!r}: {exc}"
-                ) from exc
-        reporter = obs.ProgressReporter(
-            jsonl=jsonl,
-            human=sys.stderr if wants_human else None,
-            limits=budget.to_json_dict() if budget is not None else None,
-        )
-        with obs.use_reporter(reporter):
-            try:
-                yield reporter
-            except BudgetExceeded:
-                reporter.finish("partial-budget")
-                raise
-            except InterruptRequested:
-                reporter.finish("partial-interrupt")
-                raise
-        reporter.finish("complete")
-
-
-def _ledger_append(
-    args: argparse.Namespace,
-    *,
-    kind: str,
-    fingerprint: str,
-    label: str = "",
-    outcome: str = "complete",
-    verdict: str | None = None,
-    counters: dict | None = None,
-    wall_time_s: float | None = None,
-    artifacts: dict | None = None,
-) -> None:
-    """Record one run in the ``--ledger`` file (no-op when unset).
-
-    *counters* is the run's nested deterministic counter structure; it is
-    flattened into the diffable ``work`` map (wall times dropped) and also
-    stored verbatim as ``phases``.
-    """
-    path = getattr(args, "ledger", None)
-    if path is None:
-        return
-    from .obs.ledger import append_run, flatten_work
-
-    record = append_run(
-        path,
-        kind=kind,
-        fingerprint=fingerprint,
-        label=label,
-        outcome=outcome,
-        verdict=verdict,
-        work=flatten_work(counters or {}),
-        phases=counters or {},
-        wall_time_s=(
-            round(wall_time_s, 6) if wall_time_s is not None else None
-        ),
-        artifacts={k: v for k, v in (artifacts or {}).items() if v},
-    )
-    print(f"ledger: recorded run {record.run_id} in {path}", file=sys.stderr)
-
-
-def _artifact_refs(
-    args: argparse.Namespace, *, checkpoint: str | None = None
-) -> dict:
-    """Paths of durable artifacts this run produced, for the ledger."""
-    refs: dict[str, str] = {}
-    if checkpoint:
-        refs["checkpoint"] = checkpoint
-    if getattr(args, "trace", None):
-        refs["trace"] = args.trace
-    return refs
-
-
+# ----------------------------------------------------------------------
+# the run scaffold (every subcommand that derives, checks or analyzes)
+# ----------------------------------------------------------------------
 def _partial_outcome(exc: BudgetExceeded | InterruptRequested) -> str:
     return (
         "partial-interrupt"
@@ -454,14 +312,257 @@ def _partial_outcome(exc: BudgetExceeded | InterruptRequested) -> str:
     )
 
 
-def _analysis_fingerprint(specs) -> str:
-    """The identity of an ``analyze`` run: its input specs, order-free."""
+class _Run:
+    """The scaffolding one subcommand's body runs inside.
+
+    :meth:`execute` runs the body under a recording collector when an
+    observability flag is set, renders a budget trip or interrupt that
+    ends the body, and exports the telemetry last: after the command's
+    own output on every exit, partial ones included.  The body wraps its
+    work in :meth:`scope` (and, where the run can stop gracefully,
+    :meth:`interruptible`) and reports how it ended with :meth:`record`.
+
+    ``fingerprint`` and ``label`` identify the run in the ledger; a
+    partial run files its counters under ``stage`` (default: the phase
+    that tripped).  With *report* (``lint``, ``analyze``) a partial exit
+    prints the findings collected so far; otherwise (``solve``,
+    ``resilience``) it prints the anytime summary and writes the
+    ``--checkpoint``.
+    """
+
+    def __init__(
+        self, args: argparse.Namespace, label: str = "", *, report: bool = False
+    ) -> None:
+        self.args = args
+        self.label = label
+        self.report = report
+        self.fingerprint = ""
+        self.stage: str | None = None
+        self.budget = (
+            _budget_from_args(args) if hasattr(args, "budget_pairs") else None
+        )
+        self.reporter: obs.ProgressReporter | None = None
+        self.interrupt = None
+        self.started = time.monotonic()
+
+    def execute(self, body: Callable[[], int]) -> int:
+        args = self.args
+        collector = (
+            obs.MetricsCollector()
+            if args.profile or args.trace or args.metrics
+            else None
+        )
+        try:
+            with (
+                obs.use_collector(collector)
+                if collector is not None
+                else contextlib.nullcontext()
+            ):
+                if getattr(args, "resume", False) and args.checkpoint is None:
+                    raise ReproError("--resume requires --checkpoint FILE")
+                try:
+                    return body()
+                except (BudgetExceeded, InterruptRequested) as exc:
+                    return self._partial_exit(exc)
+        finally:
+            if collector is not None:
+                self._export(
+                    collector.snapshot(),
+                    in_flight=sys.exc_info()[0] is not None,
+                )
+
+    def _export(self, snapshot, *, in_flight: bool) -> None:
+        args = self.args
+        if args.trace:
+            try:
+                obs.write_chrome_trace(snapshot, args.trace)
+            except OSError as exc:
+                message = f"cannot write trace {args.trace!r}: {exc}"
+                if not in_flight:
+                    raise ReproError(message) from exc
+                # don't mask the error already on its way out; the trace
+                # is best-effort here
+                print(f"warning: {message}", file=sys.stderr)
+            else:
+                print(f"trace written to {args.trace}", file=sys.stderr)
+        if args.profile:
+            print()
+            print(snapshot.render_text())
+        if args.metrics == "text":
+            print()
+            print(snapshot.render_metrics_text())
+        elif args.metrics == "json":
+            print(snapshot.to_json())
+
+    @contextlib.contextmanager
+    def scope(self) -> Iterator[None]:
+        """Install the ``--chaos`` plan and the progress reporter.
+
+        The reporter's terminal ``done`` event says ``complete`` when the
+        scope exits cleanly and ``partial-budget``/``partial-interrupt``
+        when a trip propagates out, unless :meth:`record` reported first.
+        """
+        args = self.args
+        with contextlib.ExitStack() as stack:
+            if args.chaos is not None:
+                from . import chaos
+
+                stack.enter_context(
+                    chaos.use_chaos(chaos.ChaosPlan.from_spec(args.chaos))
+                )
+            if args.progress or args.progress_json is not None:
+                jsonl = sys.stderr if args.progress_json == "-" else None
+                if args.progress_json not in (None, "-"):
+                    try:
+                        jsonl = stack.enter_context(
+                            open(args.progress_json, "w", encoding="utf-8")
+                        )
+                    except OSError as exc:
+                        raise ReproError(
+                            "cannot open progress stream "
+                            f"{args.progress_json!r}: {exc}"
+                        ) from exc
+                self.reporter = obs.ProgressReporter(
+                    jsonl=jsonl,
+                    human=sys.stderr if args.progress else None,
+                    limits=(
+                        self.budget.to_json_dict()
+                        if self.budget is not None
+                        else None
+                    ),
+                )
+                stack.enter_context(obs.use_reporter(self.reporter))
+            try:
+                yield
+            except (BudgetExceeded, InterruptRequested) as exc:
+                self._finish(_partial_outcome(exc))
+                raise
+            self._finish("complete")
+
+    def _finish(self, outcome: str) -> None:
+        if self.reporter is not None:
+            self.reporter.finish(outcome)
+
+    def interruptible(self):
+        """Install an interrupt controller when ``--deadline`` or
+        ``--checkpoint`` is given, else nothing.
+
+        A checkpoint path alone is enough: Ctrl-C then stops at a charge
+        boundary and the snapshot is written.  SIGTERM gets the same
+        treatment, so an orchestrator draining the run still leaves a
+        consistent checkpoint.
+        """
+        args = self.args
+        if args.deadline is None and args.checkpoint is None:
+            return contextlib.nullcontext()
+        from .persist import InterruptController
+
+        self.interrupt = InterruptController(deadline_s=args.deadline)
+        return self.interrupt.install_signals()
+
+    def record(
+        self,
+        *,
+        outcome: str = "complete",
+        verdict: str | None = None,
+        counters: dict | None = None,
+        checkpoint: str | None = None,
+    ) -> None:
+        """Report how the run ended: to the progress stream, unless its
+        scope already did, and as one ``--ledger`` record.
+
+        *counters* is the run's nested deterministic counter structure;
+        it is flattened into the diffable ``work`` map (wall times
+        dropped) and also stored verbatim as ``phases``.
+        """
+        self._finish(outcome)
+        path = getattr(self.args, "ledger", None)
+        if path is None:
+            return
+        from .obs.ledger import append_run, flatten_work
+
+        artifacts = {"checkpoint": checkpoint, "trace": self.args.trace}
+        record = append_run(
+            path,
+            kind=self.args.command,
+            fingerprint=self.fingerprint,
+            label=self.label,
+            outcome=outcome,
+            verdict=verdict,
+            work=flatten_work(counters or {}),
+            phases=counters or {},
+            wall_time_s=round(time.monotonic() - self.started, 6),
+            artifacts={k: v for k, v in artifacts.items() if v},
+        )
+        print(f"ledger: recorded run {record.run_id} in {path}", file=sys.stderr)
+
+    def _partial_exit(self, exc: BudgetExceeded | InterruptRequested) -> int:
+        """Report and record a run that a budget trip or interrupt ended.
+
+        ``lint``/``analyze`` print the findings of the sub-analyses that
+        completed; ``solve``/``resilience`` the anytime summary, writing
+        the checkpoint to ``--checkpoint``.  The output always carries
+        the explicit ``guarantees: partial`` marker.  Exit code is 4 when
+        a checkpoint was written (or the stop was a cooperative
+        interrupt), 3 for a plain budget trip.
+        """
+        from .lint import LintReport
+        from .persist import anytime_summary, render_anytime_text, save_checkpoint
+
+        args = self.args
+        interrupted = isinstance(exc, InterruptRequested)
+        partial = getattr(exc, "partial_report", None)
+        if self.report and partial is None:
+            partial = LintReport.collect((), target="(semantic, partial)")
+        ckpt = None if self.report else getattr(exc, "checkpoint", None)
+        written = None
+        if ckpt is not None and args.checkpoint is not None:
+            written = save_checkpoint(args.checkpoint, ckpt)
+        if args.format == "json":
+            if self.report:
+                payload = partial.to_json_dict()
+                payload["interrupted"] = exc.to_json_dict()
+            else:
+                payload = exc.to_json_dict()
+                if ckpt is not None:
+                    payload["anytime"] = anytime_summary(ckpt)
+                payload["checkpoint"] = written
+            payload["guarantees"] = "partial"
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        elif args.format == "sarif":
+            print(partial.to_sarif())
+            print(f"guarantees: partial ({exc})", file=sys.stderr)
+        else:
+            if self.report:
+                print(partial.describe())
+            print(f"{'interrupted' if interrupted else 'budget exceeded'}: {exc}")
+            if ckpt is not None:
+                print(render_anytime_text(anytime_summary(ckpt)))
+            else:
+                print("guarantees: partial")
+            if written is not None:
+                print(f"checkpoint written to {written} (continue with --resume)")
+        if not self.fingerprint and ckpt is not None:
+            self.fingerprint = ckpt.fingerprint
+        self.record(
+            outcome=_partial_outcome(exc),
+            counters={self.stage or exc.phase: exc.partial},
+            checkpoint=written,
+        )
+        return 4 if written is not None or interrupted else 3
+
+
+def _identify(run: _Run, specs, label: str) -> None:
+    """Key an ``analyze`` run in the ledger: its input specs, order-free."""
+    run.label = label
+    if not run.args.ledger:
+        return
     from .persist import spec_fingerprint
 
     digest = hashlib.sha256()
     for fp in sorted(spec_fingerprint(s) for s in specs):
         digest.update(fp.encode("ascii"))
-    return digest.hexdigest()
+    run.fingerprint = digest.hexdigest()
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
@@ -492,40 +593,6 @@ def _print_report(args: argparse.Namespace, report) -> None:
         print(report.describe())
 
 
-def _emit_partial_report(
-    args: argparse.Namespace, exc: BudgetExceeded | InterruptRequested
-) -> int:
-    """Render the diagnostics collected before a budget/interrupt trip.
-
-    The partial report (``exc.partial_report``) carries every finding of
-    the sub-analyses that completed; the output is explicitly marked
-    partial.  Exit code 3 (budget) / 4 (interrupt), as elsewhere.
-    """
-    from .lint import LintReport
-
-    partial = getattr(exc, "partial_report", None)
-    if partial is None:
-        partial = LintReport.collect((), target="(semantic, partial)")
-    if args.format == "json":
-        payload = partial.to_json_dict()
-        payload["guarantees"] = "partial"
-        payload["interrupted"] = exc.to_json_dict()
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.format == "sarif":
-        print(partial.to_sarif())
-        print(f"guarantees: partial ({exc})", file=sys.stderr)
-    else:
-        print(partial.describe())
-        label = (
-            "interrupted"
-            if isinstance(exc, InterruptRequested)
-            else "budget exceeded"
-        )
-        print(f"{label}: {exc}")
-        print("guarantees: partial")
-    return 4 if isinstance(exc, InterruptRequested) else 3
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     from .lint import (
         LintReport,
@@ -538,71 +605,47 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     )
 
     specs = _load_specs(args.file)
-    select = args.select.split(",") if args.select else None
-    ignore = args.ignore.split(",") if args.ignore else None
-    budget = _budget_from_args(args)
-
     if (args.service is None) != (args.component is None):
         raise ReproError("--service and --component must be given together")
+    run = _Run(args, report=True)
+    rules = {"select": args.select, "ignore": args.ignore}
+    semantic = {**rules, "budget": run.budget}
+
+    def lint_one(part: Specification) -> LintReport:
+        report = lint_spec(part, role=args.role, **rules)
+        if args.semantic:
+            report = report.merged_with(analyze_spec(part, **semantic))
+        return report
 
     def body() -> int:
-        if args.service is not None and args.component is not None:
-            int_events = args.int_events.split(",") if args.int_events else None
+        if args.service is not None:
             service = _pick(specs, args.service)
             component = _pick(specs, args.component)
-            report = lint_problem(
-                service, component, int_events, select=select, ignore=ignore
-            )
+            report = lint_problem(service, component, args.int_events, **rules)
             if args.semantic:
                 report = report.merged_with(
                     analyze_problem(
-                        service,
-                        component,
-                        int_events,
-                        solve=False,
-                        budget=budget,
-                        select=select,
-                        ignore=ignore,
+                        service, component, args.int_events, solve=False,
+                        **semantic,
                     )
                 )
         else:
-            names = args.names or sorted(specs)
-            parts = [_pick(specs, name) for name in names]
+            parts = [_pick(specs, name) for name in args.names or sorted(specs)]
             if args.compose:
-                report = lint_composition(
-                    parts, include_parts=True, select=select, ignore=ignore
-                )
+                report = lint_composition(parts, include_parts=True, **rules)
                 if args.semantic:
                     report = report.merged_with(
-                        analyze_composition(
-                            parts, budget=budget, select=select, ignore=ignore
-                        )
+                        analyze_composition(parts, **semantic)
                     )
             else:
-                merged: LintReport | None = None
-                for part in parts:
-                    partial = lint_spec(
-                        part, role=args.role, select=select, ignore=ignore
-                    )
-                    if args.semantic:
-                        partial = partial.merged_with(
-                            analyze_spec(
-                                part, budget=budget, select=select, ignore=ignore
-                            )
-                        )
-                    merged = (
-                        partial if merged is None else merged.merged_with(partial)
-                    )
-                assert merged is not None
-                report = merged
+                report = functools.reduce(
+                    LintReport.merged_with, map(lint_one, parts)
+                )
 
         _print_report(args, report)
         return report.exit_code(fail_on=_fail_on(args))
 
-    try:
-        return _run_observed(args, body)
-    except (BudgetExceeded, InterruptRequested) as exc:
-        return _emit_partial_report(args, exc)
+    return run.execute(body)
 
 
 def _report_counters(report) -> dict:
@@ -629,147 +672,90 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         analyze_spec,
     )
 
-    select = args.select.split(",") if args.select else None
-    ignore = args.ignore.split(",") if args.ignore else None
-    budget = _budget_from_args(args)
-
     if args.scenario is None and args.file is None:
         raise ReproError("give a spec FILE or --scenario NAME")
     if (args.service is None) != (args.component is None):
         raise ReproError("--service and --component must be given together")
-
-    started = time.monotonic()
-    # the ledger identity of the run, filled in once the inputs are
-    # resolved inside body() so the partial-exit path can still use it
-    run_key = {"fingerprint": "", "label": ""}
+    run = _Run(args, report=True)
+    opts = {"budget": run.budget, "select": args.select, "ignore": args.ignore}
 
     def body() -> int:
-        with _chaos_scope(args), _progress_scope(args, budget):
+        with run.scope():
             if args.scenario is not None:
-                scenario = _analyze_scenarios()[args.scenario]()
-                if args.ledger:
-                    run_key["fingerprint"] = _analysis_fingerprint(
-                        [scenario.service, *scenario.components]
-                    )
-                    run_key["label"] = f"scenario:{args.scenario}"
-                report = analyze_composition(
-                    scenario.components,
-                    budget=budget,
-                    select=select,
-                    ignore=ignore,
+                scenario = _scenario(args.scenario)
+                _identify(
+                    run,
+                    [scenario.service, *scenario.components],
+                    f"scenario:{args.scenario}",
                 )
+                report = analyze_composition(scenario.components, **opts)
                 if not args.no_solve:
                     report = report.merged_with(
                         analyze_problem(
                             scenario.service,
                             scenario.composite,
                             scenario.interface.int_events,
-                            budget=budget,
-                            select=select,
-                            ignore=ignore,
+                            **opts,
                         )
                     )
             else:
                 specs = _apply_analyze_faults(args, _load_specs(args.file))
                 if args.service is not None:
-                    int_events = (
-                        args.int_events.split(",") if args.int_events else None
-                    )
                     service = _pick(specs, args.service)
                     component = _pick(specs, args.component)
-                    if args.ledger:
-                        run_key["fingerprint"] = _analysis_fingerprint(
-                            [service, component]
-                        )
-                        run_key["label"] = f"{service.name}/{component.name}"
+                    _identify(
+                        run,
+                        [service, component],
+                        f"{service.name}/{component.name}",
+                    )
                     report = analyze_problem(
                         service,
                         component,
-                        int_events,
+                        args.int_events,
                         solve=not args.no_solve,
-                        budget=budget,
-                        select=select,
-                        ignore=ignore,
+                        **opts,
                     )
                 else:
                     names = args.names or sorted(specs)
                     parts = [_pick(specs, name) for name in names]
-                    if args.ledger:
-                        run_key["fingerprint"] = _analysis_fingerprint(parts)
-                        run_key["label"] = "+".join(p.name for p in parts)
+                    _identify(run, parts, "+".join(p.name for p in parts))
                     if args.compose and len(parts) >= 2:
-                        report = analyze_composition(
-                            parts, budget=budget, select=select, ignore=ignore
-                        )
+                        report = analyze_composition(parts, **opts)
                     else:
-                        merged: LintReport | None = None
-                        for part in parts:
-                            partial = analyze_spec(
-                                part,
-                                budget=budget,
-                                select=select,
-                                ignore=ignore,
-                            )
-                            merged = (
-                                partial
-                                if merged is None
-                                else merged.merged_with(partial)
-                            )
-                        assert merged is not None
-                        report = merged
+                        report = functools.reduce(
+                            LintReport.merged_with,
+                            (analyze_spec(part, **opts) for part in parts),
+                        )
 
         _print_report(args, report)
         code = report.exit_code(fail_on=_fail_on(args))
-        _ledger_append(
-            args,
-            kind="analyze",
-            fingerprint=run_key["fingerprint"],
-            label=run_key["label"],
+        run.record(
             verdict="clean" if code == 0 else "findings",
             counters=_report_counters(report),
-            wall_time_s=time.monotonic() - started,
-            artifacts=_artifact_refs(args),
         )
         return code
 
-    try:
-        return _run_observed(args, body)
-    except (BudgetExceeded, InterruptRequested) as exc:
-        code = _emit_partial_report(args, exc)
-        _ledger_append(
-            args,
-            kind="analyze",
-            fingerprint=run_key["fingerprint"],
-            label=run_key["label"],
-            outcome=_partial_outcome(exc),
-            counters={exc.phase: exc.partial},
-            wall_time_s=time.monotonic() - started,
-            artifacts=_artifact_refs(args),
-        )
-        return code
+    return run.execute(body)
 
 
-def _analyze_scenarios():
-    """The built-in conversion scenarios ``analyze --scenario`` accepts."""
-    from .protocols import (
-        ab_end_to_end,
-        colocated_scenario,
-        handshake_scenario,
-        lossy_handshake_scenario,
-        ns_end_to_end,
-        symmetric_scenario,
-        weakened_symmetric_scenario,
-    )
+#: The built-in conversion scenarios: CLI name -> factory in
+#: :mod:`repro.protocols` (imported on first use).  ``analyze`` accepts
+#: them all, ``resilience`` and ``demo`` the paper's Section 5 subset.
+_SCENARIOS = {
+    "symmetric": "symmetric_scenario",
+    "colocated": "colocated_scenario",
+    "weakened": "weakened_symmetric_scenario",
+    "ns-e2e": "ns_end_to_end",
+    "ab-e2e": "ab_end_to_end",
+    "handshake": "handshake_scenario",
+    "lossy-handshake": "lossy_handshake_scenario",
+}
 
-    return {
-        "symmetric": symmetric_scenario,
-        "colocated": colocated_scenario,
-        "weakened": weakened_symmetric_scenario,
-        "ns-e2e": ns_end_to_end,
-        "ab-e2e": ab_end_to_end,
-        "handshake": handshake_scenario,
-        "lossy-handshake": lossy_handshake_scenario,
-    }
+
+def _scenario(name: str):
+    from . import protocols
+
+    return getattr(protocols, _SCENARIOS[name])()
 
 
 def _apply_analyze_faults(
@@ -811,7 +797,7 @@ def _cmd_compose(args: argparse.Namespace) -> int:
             print(render_spec(composite, max_rows=args.max_rows))
         return 0
 
-    return _run_observed(args, body)
+    return _Run(args).execute(body)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -824,51 +810,29 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(report.describe())
         return 0 if report.holds else 1
 
-    return _run_observed(args, body)
+    return _Run(args).execute(body)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    from .persist import load_checkpoint, problem_fingerprint
+
     specs = _load_specs(args.file)
     service = _pick(specs, args.service)
     component = _pick(specs, args.component)
-    label = f"{service.name}/{component.name}"
+    run = _Run(args, f"{service.name}/{component.name}")
 
     def body() -> int:
-        resume_from = _resume_checkpoint_from_args(args)
-        interrupt = _interrupt_from_args(args)
-        budget = _budget_from_args(args)
-        started = time.monotonic()
-        try:
-            with _sigint_scope(interrupt), _chaos_scope(args), \
-                    _progress_scope(args, budget):
-                result = solve_quotient(
-                    service,
-                    component,
-                    preflight=not args.no_preflight,
-                    deep_preflight=args.deep_preflight,
-                    budget=budget,
-                    interrupt=interrupt,
-                    resume_from=resume_from,
-                )
-        except (BudgetExceeded, InterruptRequested) as exc:
-            code = _emit_partial(args, exc)
-            ckpt = getattr(exc, "checkpoint", None)
-            written = (
-                args.checkpoint
-                if args.checkpoint is not None and ckpt is not None
-                else None
+        resume_from = load_checkpoint(args.checkpoint) if args.resume else None
+        with run.interruptible(), run.scope():
+            result = solve_quotient(
+                service,
+                component,
+                preflight=not args.no_preflight,
+                deep_preflight=args.deep_preflight,
+                budget=run.budget,
+                interrupt=run.interrupt,
+                resume_from=resume_from,
             )
-            _ledger_append(
-                args,
-                kind="solve",
-                fingerprint=ckpt.fingerprint if ckpt is not None else "",
-                label=label,
-                outcome=_partial_outcome(exc),
-                counters={exc.phase: exc.partial},
-                wall_time_s=time.monotonic() - started,
-                artifacts=_artifact_refs(args, checkpoint=written),
-            )
-            return code
         if args.format == "json":
             # phase counters are always included, so an empty result still
             # says which phase emptied the machine and what survived safety
@@ -879,21 +843,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 assert result.converter is not None
                 print()
                 print(to_dot(result.converter))
-        from .persist import problem_fingerprint
-
-        _ledger_append(
-            args,
-            kind="solve",
-            fingerprint=problem_fingerprint(result.problem),
-            label=label,
+        run.fingerprint = problem_fingerprint(result.problem)
+        run.record(
             verdict="converter" if result.exists else "no-converter",
             counters=result.phase_counters(),
-            wall_time_s=time.monotonic() - started,
-            artifacts=_artifact_refs(args),
         )
         return 0 if result.exists else 1
 
-    return _run_observed(args, body)
+    return run.execute(body)
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
@@ -978,27 +935,26 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             return 0 if monitor.verdict().ok else 1
         return 0
 
-    return _run_observed(args, body)
+    return _Run(args).execute(body)
 
 
 def _cmd_resilience(args: argparse.Namespace) -> int:
     from .compose.nary import compose_many
-    from .faults import FAULT_KINDS, default_grid, evaluate_resilience
+    from .faults import (
+        FAULT_KINDS,
+        default_grid,
+        evaluate_resilience,
+        sweep_fingerprint,
+    )
+    from .faults.resilience import VERDICTS
+    from .persist import problem_fingerprint
 
     if args.scenario is not None:
         if args.file is not None:
             raise ReproError(
                 "--scenario and FILE are mutually exclusive"
             )
-        from .protocols.configs import (
-            colocated_scenario,
-            weakened_symmetric_scenario,
-        )
-
-        scenario = {
-            "colocated": colocated_scenario,
-            "weakened": weakened_symmetric_scenario,
-        }[args.scenario]()
+        scenario = _scenario(args.scenario)
         service = scenario.service
         components = list(scenario.components)
         int_events = scenario.interface.int_events
@@ -1011,24 +967,9 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
         specs = _load_specs(args.file)
         service = _pick(specs, args.service)
         components = [_pick(specs, name) for name in args.components]
-        int_events = args.int_events.split(",") if args.int_events else None
+        int_events = args.int_events
 
-    target: int | str | None = args.target
-    if target is not None:
-        try:
-            target = int(target)
-        except ValueError:
-            pass
-
-    try:
-        severities = tuple(
-            int(s) for s in args.severities.split(",") if s.strip()
-        )
-    except ValueError as exc:
-        raise ReproError(f"bad --severities: {exc}") from exc
-    if not severities:
-        raise ReproError("--severities must name at least one level")
-    grid = default_grid(severities, timeout=args.timeout)
+    grid = default_grid(_severities(args), timeout=args.timeout)
     if args.faults:
         kinds = [k for k in args.faults.split(",") if k]
         unknown = sorted(set(kinds) - set(FAULT_KINDS))
@@ -1039,42 +980,28 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
             )
         grid = [m for m in grid if m.kind in set(kinds)]
 
-    budget = _budget_from_args(args)
-    label = f"{service.name}/{'+'.join(c.name for c in components)}"
+    run = _Run(args, f"{service.name}/{'+'.join(c.name for c in components)}")
 
     def body() -> int:
-        from .faults import sweep_fingerprint
-
-        if args.resume and args.checkpoint is None:
-            raise ReproError("--resume requires --checkpoint FILE")
-        started = time.monotonic()
-        with _chaos_scope(args), _progress_scope(args, budget) as reporter:
+        with run.scope():
             try:
                 # the baseline derivation is not checkpointed here (a
                 # sweep's unit of resume is the cell), so its budget trips
                 # stay exit 3
-                composite = compose_many(components, budget=budget)
+                composite = compose_many(components, budget=run.budget)
                 result = solve_quotient(
-                    service, composite, int_events=int_events, budget=budget
+                    service, composite, int_events=int_events, budget=run.budget
                 )
             except BudgetExceeded as exc:
-                if reporter is not None:
-                    reporter.finish("partial-budget")
                 if args.format == "json":
                     print(
                         json.dumps(exc.to_json_dict(), indent=2, sort_keys=True)
                     )
                 else:
                     print(f"budget exceeded deriving baseline converter: {exc}")
-                _ledger_append(
-                    args,
-                    kind="resilience",
-                    fingerprint="",
-                    label=label,
+                run.record(
                     outcome="partial-budget",
                     counters={f"baseline.{exc.phase}": exc.partial},
-                    wall_time_s=time.monotonic() - started,
-                    artifacts=_artifact_refs(args),
                 )
                 return 3
             if not result.exists:
@@ -1082,92 +1009,53 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
                     "no baseline converter exists for this system; "
                     "nothing to evaluate"
                 )
+                run.fingerprint = problem_fingerprint(result.problem)
+                run.record(
+                    verdict="no-converter", counters=result.phase_counters()
+                )
                 return 1
             assert result.converter is not None
-            fingerprint = sweep_fingerprint(
+            run.fingerprint = sweep_fingerprint(
                 service,
                 components,
                 result.converter,
                 grid=grid,
-                target=target,
+                target=args.target,
                 timeout=args.timeout,
             )
-            interrupt = _interrupt_from_args(args)
-            try:
-                with _sigint_scope(interrupt):
-                    matrix = evaluate_resilience(
-                        service,
-                        components,
-                        result.converter,
-                        int_events=int_events,
-                        target=target,
-                        grid=grid,
-                        rederive=not args.no_rederive,
-                        budget=budget,
-                        timeout=args.timeout,
-                        interrupt=interrupt,
-                        checkpoint=args.checkpoint,
-                        resume=args.resume,
-                    )
-            except InterruptRequested as exc:
-                if reporter is not None:
-                    reporter.finish("partial-interrupt")
-                code = _emit_partial(args, exc)
-                ckpt = getattr(exc, "checkpoint", None)
-                written = (
-                    args.checkpoint
-                    if args.checkpoint is not None and ckpt is not None
-                    else None
+            run.stage = "sweep"
+            with run.interruptible():
+                matrix = evaluate_resilience(
+                    service,
+                    components,
+                    result.converter,
+                    int_events=int_events,
+                    target=args.target,
+                    grid=grid,
+                    rederive=not args.no_rederive,
+                    budget=run.budget,
+                    timeout=args.timeout,
+                    interrupt=run.interrupt,
+                    checkpoint=args.checkpoint,
+                    resume=args.resume,
                 )
-                _ledger_append(
-                    args,
-                    kind="resilience",
-                    fingerprint=fingerprint,
-                    label=label,
-                    outcome="partial-interrupt",
-                    counters={"sweep": exc.partial},
-                    wall_time_s=time.monotonic() - started,
-                    artifacts=_artifact_refs(args, checkpoint=written),
-                )
-                return code
         if args.format == "json":
             print(json.dumps(matrix.to_json_dict(), indent=2, sort_keys=True))
         else:
             print(matrix.render_text())
-        from .faults.resilience import VERDICTS
-
         counts = matrix.counts()
-        worst = next((v for v in reversed(VERDICTS) if counts.get(v)), None)
-        _ledger_append(
-            args,
-            kind="resilience",
-            fingerprint=fingerprint,
-            label=label,
-            verdict=worst,
-            counters={
-                "cells": {"total": len(matrix.cells), **counts},
-            },
-            wall_time_s=time.monotonic() - started,
-            artifacts=_artifact_refs(args, checkpoint=args.checkpoint),
+        run.record(
+            verdict=next((v for v in reversed(VERDICTS) if counts.get(v)), None),
+            counters={"cells": {"total": len(matrix.cells), **counts}},
+            checkpoint=args.checkpoint,
         )
         return 0
 
-    return _run_observed(args, body)
+    return run.execute(body)
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    from .protocols.configs import (
-        colocated_scenario,
-        symmetric_scenario,
-        weakened_symmetric_scenario,
-    )
-
-    scenarios = {
-        "symmetric": symmetric_scenario,
-        "colocated": colocated_scenario,
-        "weakened": weakened_symmetric_scenario,
-    }
-    scenario = scenarios[args.scenario]()
+    scenario = _scenario(args.scenario)
     print(scenario.describe())
     print()
     result = solve_quotient(
@@ -1315,9 +1203,7 @@ def _submit_payload(args: argparse.Namespace) -> dict:
             "component": spec_to_dict(_pick(specs, args.component)),
         }
         if args.int_events:
-            payload["int_events"] = sorted(
-                e for e in args.int_events.split(",") if e
-            )
+            payload["int_events"] = sorted(e for e in args.int_events if e)
         return payload
     if args.kind == "analyze":
         names = (
@@ -1340,7 +1226,7 @@ def _submit_payload(args: argparse.Namespace) -> dict:
         ],
         "converter": spec_to_dict(_pick(specs, args.converter)),
         "target": args.target,
-        "severities": [int(x) for x in args.severities.split(",") if x],
+        "severities": list(_severities(args)),
         "timeout": args.timeout,
     }
 
@@ -1422,6 +1308,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 def _cmd_status(args: argparse.Namespace) -> int:
     from .serve import ServeClient
 
+    if args.tail < 0:
+        raise ReproError(f"--tail must be >= 0, got {args.tail!r}")
     client = ServeClient(args.host, args.port)
     if args.wait:
         doc = client.wait(args.job_id, timeout_s=args.timeout_s)
@@ -1436,7 +1324,8 @@ def _cmd_status(args: argparse.Namespace) -> int:
         f" cache={record.get('cache')} outcome={record.get('outcome')}"
         f" verdict={record.get('verdict')}"
     )
-    for event in doc.get("progress", [])[-args.tail:]:
+    progress = doc.get("progress", [])
+    for event in progress[max(len(progress) - args.tail, 0):]:
         print(f"  {json.dumps(event, sort_keys=True)}")
     return 0
 
@@ -1487,10 +1376,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--component", default=None,
         help="component (composite B) of the quotient problem",
     )
-    p_lint.add_argument(
-        "--int", dest="int_events", default=None, metavar="EV,EV,...",
-        help="declared Int events to validate (with --service/--component)",
-    )
+    _add_int_argument(p_lint)
     p_lint.add_argument(
         "--compose", action="store_true",
         help="treat the named specs as parts of one || composition",
@@ -1499,23 +1385,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--role", choices=["component", "service"], default="component",
         help="role of the linted specs (service adds NORM0xx rules)",
     )
-    p_lint.add_argument(
-        "--format", choices=["text", "json", "sarif"], default="text",
-        help="output format (default text)",
-    )
-    p_lint.add_argument(
-        "--select", default=None, metavar="CODES",
-        help="comma-separated rule codes/prefixes to run (e.g. SPEC,NORM001)",
-    )
-    p_lint.add_argument(
-        "--ignore", default=None, metavar="CODES",
-        help="comma-separated rule codes/prefixes to skip",
-    )
-    p_lint.add_argument(
-        "--fail-on", choices=["error", "warning"], default="error",
-        help="lowest severity that makes the exit code 2 (default error: "
-        "warnings-only runs exit 0)",
-    )
+    _add_report_arguments(p_lint)
     p_lint.add_argument(
         "--strict", action="store_true",
         help="legacy alias for --fail-on warning",
@@ -1556,12 +1426,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="spec names to analyze (default: all in file)",
     )
     p_an.add_argument(
-        "--scenario",
-        choices=[
-            "symmetric", "colocated", "weakened", "ns-e2e", "ab-e2e",
-            "handshake", "lossy-handshake",
-        ],
-        default=None,
+        "--scenario", choices=list(_SCENARIOS), default=None,
         help="analyze a built-in conversion scenario instead of FILE "
         "specs (components composition plus the solved quotient problem)",
     )
@@ -1574,10 +1439,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--component", default=None,
         help="component (composite B) of the quotient problem",
     )
-    p_an.add_argument(
-        "--int", dest="int_events", default=None, metavar="EV,EV,...",
-        help="declared Int events (with --service/--component)",
-    )
+    _add_int_argument(p_an)
     p_an.add_argument(
         "--compose", action="store_true",
         help="analyze the named specs as one || composition (enables "
@@ -1601,22 +1463,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="spec the fault models transform (default: the only spec "
         "analyzed; required when several are)",
     )
-    p_an.add_argument(
-        "--format", choices=["text", "json", "sarif"], default="text",
-        help="output format (default text)",
-    )
-    p_an.add_argument(
-        "--select", default=None, metavar="CODES",
-        help="comma-separated rule codes/prefixes to run (e.g. SEM204)",
-    )
-    p_an.add_argument(
-        "--ignore", default=None, metavar="CODES",
-        help="comma-separated rule codes/prefixes to skip",
-    )
-    p_an.add_argument(
-        "--fail-on", choices=["error", "warning"], default="error",
-        help="lowest severity that makes the exit code 2 (default error)",
-    )
+    _add_report_arguments(p_an)
     _add_budget_arguments(p_an)
     _add_chaos_arguments(p_an)
     _add_obs_arguments(p_an)
@@ -1690,25 +1537,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario", choices=["colocated", "weakened"], default=None,
         help="evaluate a built-in paper scenario instead of FILE specs",
     )
-    p_res.add_argument(
-        "--int", dest="int_events", default=None, metavar="EV,EV,...",
-        help="declared Int events (converter-facing interface)",
-    )
-    p_res.add_argument(
-        "--target", default=None, metavar="NAME|IDX",
-        help="component to fault (default: the first channel-shaped one)",
-    )
-    p_res.add_argument(
-        "--severities", default="1,2", metavar="N,N,...",
-        help="severity levels to sweep (default 1,2)",
-    )
+    _add_int_argument(p_res)
+    _add_sweep_arguments(p_res)
     p_res.add_argument(
         "--faults", default=None, metavar="KIND,KIND,...",
         help="restrict the grid to these fault kinds (default: all)",
-    )
-    p_res.add_argument(
-        "--timeout", default="timeout", metavar="EVENT",
-        help="timeout event the loss model adds (default 'timeout')",
     )
     p_res.add_argument(
         "--no-rederive", action="store_true",
@@ -1907,15 +1740,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--specs", default=None, metavar="NAME,NAME,...",
         help="analyze: specs to analyze (default: all in FILE)",
     )
-    p_submit.add_argument(
-        "--int", dest="int_events", default=None, metavar="EV,EV,...",
-        help="solve: declared Int events",
-    )
-    p_submit.add_argument("--target", default=None, metavar="NAME|IDX")
-    p_submit.add_argument("--severities", default="1,2", metavar="N,N,...")
-    p_submit.add_argument("--timeout", default="timeout", metavar="EVENT")
-    p_submit.add_argument("--host", default="127.0.0.1")
-    p_submit.add_argument("--port", type=int, required=True)
+    _add_int_argument(p_submit)
+    _add_sweep_arguments(p_submit)
+    _add_server_arguments(p_submit)
     p_submit.add_argument(
         "--priority", type=int, default=0,
         help="admission priority (higher first; lowest shed under load)",
@@ -1931,10 +1758,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="block until the job finishes and print its result",
     )
     p_submit.add_argument(
-        "--timeout-s", type=float, default=120.0, metavar="SECONDS",
-        help="ceiling for --wait (default 120)",
-    )
-    p_submit.add_argument(
         "--format", choices=["text", "json"], default="text",
     )
     _add_budget_arguments(p_submit)
@@ -1945,14 +1768,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="show a server job's record, progress, and result",
     )
     p_status.add_argument("job_id")
-    p_status.add_argument("--host", default="127.0.0.1")
-    p_status.add_argument("--port", type=int, required=True)
+    _add_server_arguments(p_status)
     p_status.add_argument(
         "--wait", action="store_true",
         help="block until the job reaches a terminal state",
-    )
-    p_status.add_argument(
-        "--timeout-s", type=float, default=120.0, metavar="SECONDS",
     )
     p_status.add_argument(
         "--tail", type=int, default=10,

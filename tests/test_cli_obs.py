@@ -218,3 +218,30 @@ class TestExportsOnPartialExit:
         names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "i"}
         assert "budget.exceeded" in names
         assert "checkpoint.write" in names
+
+
+class TestExportOrderOnPartialExit:
+    """Exports follow the command's own output on the partial exits too."""
+
+    @pytest.mark.parametrize("command", ["analyze", "lint"])
+    def test_metrics_follow_the_partial_report(self, command, dsl_file, capsys):
+        argv = [command, dsl_file, "service", "component", "--compose",
+                "--budget-pairs", "1", "--metrics", "text"]
+        if command == "lint":
+            argv.append("--semantic")
+        assert main(argv) == 3
+        out = capsys.readouterr().out
+        assert out.index("guarantees: partial") < out.index("counters:")
+
+    def test_partial_ledger_append_is_in_the_metrics(
+        self, dsl_file, tmp_path, capsys
+    ):
+        ledger = tmp_path / "runs.json"
+        code = main(
+            ["analyze", dsl_file, "service", "component", "--compose",
+             "--budget-pairs", "1", "--metrics", "text",
+             "--ledger", str(ledger)]
+        )
+        assert code == 3
+        counters = capsys.readouterr().out.split("counters:", 1)[1]
+        assert "ledger.appends" in counters

@@ -30,6 +30,15 @@ spec component
 end
 """
 
+STUCK_COMPONENT = """
+spec stuck
+    initial 0
+    0 -> 1 : acc
+    1 -> 1 : fwd
+    event del
+end
+"""
+
 
 @pytest.fixture
 def dsl_file(tmp_path):
@@ -117,6 +126,30 @@ class TestLedgerRecording:
         assert record.kind == "analyze"
         assert record.verdict == "clean"
         assert "findings.total" in record.work
+
+    def test_resilience_without_baseline_converter_recorded(
+        self, tmp_path, ledger_path, capsys
+    ):
+        path = tmp_path / "stuck.dsl"
+        path.write_text(DSL + STUCK_COMPONENT)
+        code = main(
+            ["resilience", str(path), "service", "stuck",
+             "--ledger", ledger_path]
+        )
+        assert code == 1
+        assert "ledger: recorded run 1" in capsys.readouterr().err
+        assert main(
+            ["solve", str(path), "service", "stuck", "--ledger", ledger_path]
+        ) == 1
+        sweep, solve = Ledger(ledger_path).read()
+        assert sweep.kind == "resilience"
+        assert sweep.outcome == "complete"
+        assert sweep.verdict == "no-converter"
+        assert sweep.label == "service/stuck"
+        # keyed and counted like a solve of the baseline problem
+        assert sweep.fingerprint == solve.fingerprint
+        assert sweep.work == solve.work
+        assert sweep.work["safety.pairs_explored"] > 0
 
     def test_no_ledger_flag_writes_nothing(self, dsl_file, tmp_path, capsys):
         assert main(["solve", dsl_file, "service", "component"]) == 0

@@ -16,6 +16,7 @@ import pytest
 
 from repro import obs
 from repro.chaos import ChaosPlan, use_chaos
+from repro.cli import main
 from repro.errors import InterruptRequested, ReproError, ServeError
 from repro.io.json_codec import spec_to_dict
 from repro.obs.core import ThreadSafeCollector
@@ -528,3 +529,91 @@ class TestServerHTTP:
             pass  # socket already closed: fully drained
         else:
             pytest.fail("draining server accepted a submission")
+
+
+RESILIENCE_DSL = """
+spec service
+    initial 0
+    0 -> 1 : acc
+    1 -> 0 : del
+end
+
+spec component
+    initial 0
+    0 -> 1 : acc
+    1 -> 2 : fwd
+    2 -> 0 : del
+end
+
+spec converter
+    initial 0
+    0 -> 0 : fwd
+end
+"""
+
+
+class TestServeCli:
+    """``submit`` and ``status`` against a live server."""
+
+    @pytest.fixture
+    def dsl(self, tmp_path):
+        path = tmp_path / "system.dsl"
+        path.write_text(RESILIENCE_DSL)
+        return str(path)
+
+    def _resilience(self, dsl, port, *extra):
+        return main(
+            ["submit", dsl, "--kind", "resilience", "--service", "service",
+             "--components", "component", "--converter", "converter",
+             "--port", str(port), *extra]
+        )
+
+    def test_submit_wait_json_is_the_solve_output(
+        self, live_server, dsl, capsys
+    ):
+        # the batch run goes first: the server installs its own (recording)
+        # collector, which would add a stats block to an in-process solve
+        assert main(["solve", dsl, "service", "component", "--format", "json"]) == 0
+        batch = capsys.readouterr().out
+        server, _ = live_server()
+        assert main(
+            ["submit", dsl, "--service", "service", "--component", "component",
+             "--port", str(server.port), "--wait", "--format", "json"]
+        ) == 0
+        assert capsys.readouterr().out == batch
+
+    def test_target_index_and_name_agree(self, live_server, dsl, capsys):
+        server, _ = live_server()
+        results = []
+        for target in ("0", "component"):
+            code = self._resilience(
+                dsl, server.port, "--target", target, "--severities", "1",
+                "--wait", "--format", "json",
+            )
+            results.append((code, capsys.readouterr().out))
+        (code, body), other = results
+        assert code in (0, 1)
+        assert json.loads(body)["target"] == "component"
+        assert other == (code, body)
+
+    def test_bad_severities_is_a_usage_error(self, live_server, dsl, capsys):
+        server, _ = live_server()
+        assert self._resilience(dsl, server.port, "--severities", "1,x") == 2
+        assert "bad --severities" in capsys.readouterr().err
+
+    def test_status_tail(self, live_server, dsl, capsys):
+        server, client = live_server()
+        assert main(
+            ["submit", dsl, "--service", "service", "--component", "component",
+             "--port", str(server.port), "--wait"]
+        ) == 0
+        (job,) = client.jobs()["jobs"]
+        capsys.readouterr()
+        status = ["status", job["job_id"], "--port", str(server.port)]
+        assert main(status + ["--tail", "0"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1
+        assert main(status + ["--tail", "1"]) == 0
+        header, event = capsys.readouterr().out.splitlines()
+        assert json.loads(event)["event"] == "done"
+        assert main(status + ["--tail", "-1"]) == 2
+        assert "--tail must be >= 0" in capsys.readouterr().err
