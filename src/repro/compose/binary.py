@@ -318,10 +318,6 @@ def synchronous_product(
     obs.add("compose.synchronous_products", 1)
     shared = shared_events(left.alphabet, right.alphabet)
     alphabet = left.alphabet | right.alphabet
-    if kernel_enabled():
-        return _synchronous_product_kernel(
-            left, right, product_name, shared, alphabet
-        )
     initial = (left.initial, right.initial)
     states: set[tuple[State, State]] = {initial}
     external = []
@@ -357,89 +353,6 @@ def synchronous_product(
                 states.add(target)
                 frontier.append(target)
     return Specification(product_name, states, alphabet, external, internal, initial)
-
-
-def _synchronous_product_kernel(
-    left: Specification,
-    right: Specification,
-    name: str,
-    shared: Alphabet,
-    alphabet: Alphabet,
-) -> Specification:
-    """Hiding-free product over interned pair codes (see the compose kernel)."""
-    cl: CompiledSpec = compiled(left)
-    cr: CompiledSpec = compiled(right)
-    nr = cr.n_states
-    shared_l = cl.encode_events(shared)
-    shared_r = cr.encode_events(shared)
-    levents, revents = cl.events, cr.events
-
-    initial = cl.initial * nr + cr.initial
-    seen = {initial}
-    stack = [initial]
-    ext_edges: list[tuple[int, str, int]] = []
-    int_edges: list[tuple[int, int]] = []
-    while stack:
-        code = stack.pop()
-        ia, ib = divmod(code, nr)
-        base_a = ia * nr
-        ext_b = cr.ext_by_eid[ib]
-        for eid, targets in cl.ext_moves[ia]:
-            e = levents[eid]
-            if shared_l >> eid & 1:
-                rts = ext_b.get(cr.event_index[e])
-                if not rts:
-                    continue
-                for ta in targets:
-                    ta_base = ta * nr
-                    for tb in rts:
-                        t = ta_base + tb
-                        ext_edges.append((code, e, t))
-                        if t not in seen:
-                            seen.add(t)
-                            stack.append(t)
-            else:
-                for ta in targets:
-                    t = ta * nr + ib
-                    ext_edges.append((code, e, t))
-                    if t not in seen:
-                        seen.add(t)
-                        stack.append(t)
-        for eid, targets in cr.ext_moves[ib]:
-            if shared_r >> eid & 1:
-                continue
-            e = revents[eid]
-            for tb in targets:
-                t = base_a + tb
-                ext_edges.append((code, e, t))
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        for ta in cl.int_succ[ia]:
-            t = ta * nr + ib
-            if t != code:
-                int_edges.append((code, t))
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-        for tb in cr.int_succ[ib]:
-            t = base_a + tb
-            if t != code:
-                int_edges.append((code, t))
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-
-    lstates, rstates = cl.states, cr.states
-    label = {c: (lstates[c // nr], rstates[c % nr]) for c in seen}
-    return Specification(
-        name,
-        label.values(),
-        alphabet,
-        ((label[s], e, label[t]) for s, e, t in ext_edges),
-        ((label[s], label[t]) for s, t in int_edges),
-        label[initial],
-    )
 
 
 def check_composable(left: Specification, right: Specification) -> Alphabet:

@@ -22,13 +22,12 @@ Exploration follows the semantics of :func:`repro.compose.binary.compose`
 structure instead of collapsing to an opaque composite, because the rules
 must attribute findings to individual parts.
 
-Two implementations produce byte-identical graphs: a compiled-kernel path
-over :class:`~repro.spec.compiled.CompiledSpec` integer ids and a labeled
-reference path.  ``REPRO_KERNEL=0`` (or :func:`~repro.spec.compiled
-.use_kernel`) selects the reference path; the differential tests pin the
-two against each other.  Exploration is budget-metered
-(:class:`~repro.quotient.budget.Budget`): one ``states`` charge per
-discovered vector, one ``pairs`` charge per expanded vector.
+Exploration runs over the labeled states directly: the products the
+analyzer sees are small, and a compiled twin saved at most 1.3 ms on any
+``analyze --scenario`` product.  It is budget-metered (:class:`~repro.quotient.budget.Budget`): one
+``states`` charge per discovered vector, one ``pairs`` charge per expanded
+vector.  The ``lint.sem.product_states`` / ``lint.sem.product_edges``
+counters record what was explored even when the budget trips.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from typing import TYPE_CHECKING, Sequence
 
 from .. import obs
 from ..events import Alphabet, Event
-from ..spec.compiled import compiled, kernel_enabled
 from ..spec.spec import Specification, State, _state_sort_key
 
 if TYPE_CHECKING:
@@ -140,22 +138,10 @@ def explore_product(
     if not parts:
         raise ValueError("cannot explore the product of zero parts")
     with obs.span("semantic_product", parts=len(parts)):
-        if kernel_enabled():
-            graph = _explore_kernel(parts, meter)
-        else:
-            graph = _explore_reference(parts, meter)
-    obs.add("lint.sem.product_states", graph.n)
-    obs.add(
-        "lint.sem.product_edges",
-        sum(len(m) for m in graph.ext_out) + sum(len(m) for m in graph.int_out),
-    )
-    return graph
+        return _explore(parts, meter)
 
 
-# ----------------------------------------------------------------------
-# reference path: labeled states throughout
-# ----------------------------------------------------------------------
-def _explore_reference(
+def _explore(
     parts: tuple[Specification, ...],
     meter: "BudgetMeter | None",
 ) -> ProductGraph:
@@ -167,140 +153,69 @@ def _explore_reference(
     parents: list[tuple[int, Event | None] | None] = [None]
     ext_out: list[tuple[tuple[Event, int], ...]] = []
     int_out: list[tuple[tuple[Event | None, int], ...]] = []
-    if meter is not None:
-        meter.charge(states=1, frontier=1)
-
     cursor = 0
-    while cursor < len(vectors):
-        vec = vectors[cursor]
-        ext_moves: list[tuple[Event, int]] = []
-        int_moves: list[tuple[Event | None, int]] = []
-
-        def intern(target: tuple[State, ...], label: Event | None) -> int:
-            idx = index.get(target)
-            if idx is None:
-                idx = len(vectors)
-                index[target] = idx
-                vectors.append(target)
-                parents.append((cursor, label))
-                if meter is not None:
-                    meter.charge(states=1, frontier=len(vectors) - cursor)
-            return idx
-
-        for e in events:
-            owner_ids = owners[e]
-            if any(e not in parts[p].enabled(vec[p]) for p in owner_ids):
-                continue
-            # cartesian product of each owner's targets, owner-major order
-            combos: list[list[State]] = [[]]
-            for p in owner_ids:
-                targets = sorted(
-                    parts[p].successors(vec[p], e), key=_state_sort_key
-                )
-                combos = [c + [t] for c in combos for t in targets]
-            for combo in combos:
-                target = list(vec)
-                for p, t in zip(owner_ids, combo):
-                    target[p] = t
-                idx = intern(tuple(target), e)
-                if len(owner_ids) == 1:
-                    ext_moves.append((e, idx))
-                else:
-                    int_moves.append((e, idx))
-        for p, part in enumerate(parts):
-            for t in sorted(part.internal_successors(vec[p]), key=_state_sort_key):
-                target = vec[:p] + (t,) + vec[p + 1 :]
-                int_moves.append((None, intern(target, None)))
-
-        ext_out.append(tuple(ext_moves))
-        int_out.append(tuple(int_moves))
-        cursor += 1
+    try:
         if meter is not None:
-            meter.charge(pairs=1, frontier=len(vectors) - cursor)
+            meter.charge(states=1, frontier=1)
+        while cursor < len(vectors):
+            vec = vectors[cursor]
+            ext_moves: list[tuple[Event, int]] = []
+            int_moves: list[tuple[Event | None, int]] = []
+
+            def intern(target: tuple[State, ...], label: Event | None) -> int:
+                idx = index.get(target)
+                if idx is None:
+                    idx = len(vectors)
+                    index[target] = idx
+                    vectors.append(target)
+                    parents.append((cursor, label))
+                    if meter is not None:
+                        meter.charge(states=1, frontier=len(vectors) - cursor)
+                return idx
+
+            for e in events:
+                owner_ids = owners[e]
+                if any(e not in parts[p].enabled(vec[p]) for p in owner_ids):
+                    continue
+                # cartesian product of each owner's targets, owner-major order
+                combos: list[list[State]] = [[]]
+                for p in owner_ids:
+                    targets = sorted(
+                        parts[p].successors(vec[p], e), key=_state_sort_key
+                    )
+                    combos = [c + [t] for c in combos for t in targets]
+                for combo in combos:
+                    target = list(vec)
+                    for p, t in zip(owner_ids, combo):
+                        target[p] = t
+                    idx = intern(tuple(target), e)
+                    if len(owner_ids) == 1:
+                        ext_moves.append((e, idx))
+                    else:
+                        int_moves.append((e, idx))
+            for p, part in enumerate(parts):
+                for t in sorted(part.internal_successors(vec[p]), key=_state_sort_key):
+                    target = vec[:p] + (t,) + vec[p + 1 :]
+                    int_moves.append((None, intern(target, None)))
+
+            ext_out.append(tuple(ext_moves))
+            int_out.append(tuple(int_moves))
+            cursor += 1
+            if meter is not None:
+                meter.charge(pairs=1, frontier=len(vectors) - cursor)
+    finally:
+        # recorded on a budget trip too, so partial runs report their work
+        obs.add("lint.sem.product_states", len(vectors))
+        obs.add(
+            "lint.sem.product_edges",
+            sum(len(m) for m in ext_out) + sum(len(m) for m in int_out),
+        )
 
     return _finish(parts, vectors, ext_out, int_out, parents, owners)
 
 
 # ----------------------------------------------------------------------
-# kernel path: integer ids throughout, decoded once at the end
-# ----------------------------------------------------------------------
-def _explore_kernel(
-    parts: tuple[Specification, ...],
-    meter: "BudgetMeter | None",
-) -> ProductGraph:
-    compiled_parts = tuple(compiled(p) for p in parts)
-    events, owners = _event_owners(parts)
-    # per event: the owning parts with their local event ids
-    sync_plan: list[tuple[Event, tuple[tuple[int, int], ...]]] = [
-        (e, tuple((p, compiled_parts[p].event_index[e]) for p in owners[e]))
-        for e in events
-    ]
-
-    initial = tuple(cs.initial for cs in compiled_parts)
-    index: dict[tuple[int, ...], int] = {initial: 0}
-    vectors: list[tuple[int, ...]] = [initial]
-    parents: list[tuple[int, Event | None] | None] = [None]
-    ext_out: list[tuple[tuple[Event, int], ...]] = []
-    int_out: list[tuple[tuple[Event | None, int], ...]] = []
-    if meter is not None:
-        meter.charge(states=1, frontier=1)
-
-    cursor = 0
-    while cursor < len(vectors):
-        vec = vectors[cursor]
-        ext_moves: list[tuple[Event, int]] = []
-        int_moves: list[tuple[Event | None, int]] = []
-
-        def intern(target: tuple[int, ...], label: Event | None) -> int:
-            idx = index.get(target)
-            if idx is None:
-                idx = len(vectors)
-                index[target] = idx
-                vectors.append(target)
-                parents.append((cursor, label))
-                if meter is not None:
-                    meter.charge(states=1, frontier=len(vectors) - cursor)
-            return idx
-
-        for e, plan in sync_plan:
-            if any(
-                not (compiled_parts[p].enabled_mask[vec[p]] >> eid) & 1
-                for p, eid in plan
-            ):
-                continue
-            combos: list[list[int]] = [[]]
-            for p, eid in plan:
-                targets = compiled_parts[p].ext_by_eid[vec[p]][eid]
-                combos = [c + [t] for c in combos for t in targets]
-            for combo in combos:
-                target = list(vec)
-                for (p, _), t in zip(plan, combo):
-                    target[p] = t
-                idx = intern(tuple(target), e)
-                if len(plan) == 1:
-                    ext_moves.append((e, idx))
-                else:
-                    int_moves.append((e, idx))
-        for p, cs in enumerate(compiled_parts):
-            for t in cs.int_succ[vec[p]]:
-                target = vec[:p] + (t,) + vec[p + 1 :]
-                int_moves.append((None, intern(target, None)))
-
-        ext_out.append(tuple(ext_moves))
-        int_out.append(tuple(int_moves))
-        cursor += 1
-        if meter is not None:
-            meter.charge(pairs=1, frontier=len(vectors) - cursor)
-
-    decoded = [
-        tuple(compiled_parts[p].states[sid] for p, sid in enumerate(vec))
-        for vec in vectors
-    ]
-    return _finish(parts, decoded, ext_out, int_out, parents, owners)
-
-
-# ----------------------------------------------------------------------
-# shared projection / packaging
+# projection / packaging
 # ----------------------------------------------------------------------
 def _finish(
     parts: tuple[Specification, ...],

@@ -2,10 +2,10 @@
 
 Where the structural rules (:mod:`repro.lint.rules`) inspect one machine's
 shape, the semantic pass certifies *behaviour*: it builds the reachable
-product graph of a system (:mod:`repro.lint.product`, kernel-accelerated
-and budget-bounded) and reports the classic failure modes of communicating
-machines — the properties reachability analysis detects statically
-(Pachl's CFSM analysis; the paper's Section 5 livelock observation):
+product graph of a system (:mod:`repro.lint.product`, budget-bounded) and
+reports the classic failure modes of communicating machines — the
+properties reachability analysis detects statically (Pachl's CFSM
+analysis; the paper's Section 5 livelock observation):
 
 ``SEM201``  a part's state never occurs in any reachable product state;
 ``SEM202``  a part's transition never fires on any reachable product path;
@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
 from .. import obs
 from ..events import Alphabet, Event, is_receive
 from ..errors import BudgetExceeded, InterruptRequested
-from ..spec.graph import reachable_states
+from ..spec.graph import reachable_states, strongly_connected
 from ..spec.spec import Specification, State, _state_sort_key
 from .diagnostics import (
     SEVERITY_ERROR,
@@ -153,60 +153,6 @@ def _live_flags(graph: ProductGraph) -> list[bool]:
     return live
 
 
-def _internal_sccs(graph: ProductGraph) -> tuple[list[list[int]], list[int]]:
-    """Tarjan SCCs of the product's internal-move graph (iterative)."""
-    n = graph.n
-    index = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    counter = 0
-    components: list[list[int]] = []
-    scc_of = [-1] * n
-    succ = [[dst for _, dst in graph.int_out[i]] for i in range(n)]
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work: list[tuple[int, Iterator[int]]] = [(root, iter(succ[root]))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for s2 in it:
-                if index[s2] == -1:
-                    index[s2] = lowlink[s2] = counter
-                    counter += 1
-                    stack.append(s2)
-                    on_stack[s2] = True
-                    work.append((s2, iter(succ[s2])))
-                    advanced = True
-                    break
-                if on_stack[s2]:
-                    lowlink[node] = min(lowlink[node], index[s2])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                component: list[int] = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    component.append(member)
-                    if member == node:
-                        break
-                comp_idx = len(components)
-                components.append(component)
-                for member in component:
-                    scc_of[member] = comp_idx
-    return components, scc_of
-
-
 def _semantic_target(
     parts: Sequence[Specification],
     *,
@@ -221,7 +167,9 @@ def _semantic_target(
         for i in range(graph.n)
         if not graph.ext_out[i] and not graph.int_out[i]
     )
-    components, scc_of = _internal_sccs(graph)
+    components, _ = strongly_connected(
+        range(graph.n), lambda i: [dst for _, dst in graph.int_out[i]]
+    )
     livelock_sccs: list[tuple[int, ...]] = []
     for comp_idx, members in enumerate(components):
         member_set = set(members)

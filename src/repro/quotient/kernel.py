@@ -16,18 +16,19 @@ phase counter — are identical to the reference path's.
 
 Compiled problems are memoized in a small bounded cache keyed on the
 :class:`~repro.quotient.types.QuotientProblem` (a frozen, hashable value
-object), so the safety and progress phases of one solve share a single
-compilation.
+object), so the safety and progress phases of one solve — and every later
+solve of an equal problem, on any thread — share a single compilation.
+The ``τ*`` crawl condenses its product subgraph with the shared
+:func:`~repro.spec.graph.strongly_connected`.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict, deque
-from typing import Iterator
 
 from .. import obs
 from ..spec.compiled import CompiledSpec, compiled
+from ..spec.graph import strongly_connected
 from ..spec.spec import Specification
 from .types import Pair, PairSet, QuotientProblem
 
@@ -35,20 +36,13 @@ __all__ = [
     "CompiledProblem",
     "compiled_problem",
     "problem_cache_clear",
-    "problem_cache_maxsize",
     "safety_explore_kernel",
     "progress_phase_kernel",
 ]
 
-#: Default bound on the compiled-problem cache (each entry also pins the
-#: compiled service and component in the spec-level cache).  Override with
-#: ``REPRO_KERNEL_CACHE`` (see :func:`problem_cache_maxsize`).
+#: Bound on the compiled-problem cache (each entry also pins the compiled
+#: service and component in the spec-level cache).
 PROBLEM_CACHE_MAXSIZE = 64
-
-#: Largest pair space (``|S_A| × |S_B|``) for which the Ext-closure keeps a
-#: preallocated byte-per-pair visited scratch; beyond it (64 MiB) the
-#: closure falls back to a hash set, trading speed for bounded memory.
-SCRATCH_LIMIT = 1 << 26
 
 #: Distinguishes "no cached successor batch" from a cached ``None`` (¬ok).
 _MISS = object()
@@ -59,6 +53,13 @@ class CompiledProblem:
 
     Pairs ``(a, b)`` are coded as ``a_id * n_component + b_id``, where ids
     come from the compiled service (``ca``) and component (``cb``).
+
+    One instance is shared, through the problem cache, by every solve of
+    an equal problem, concurrent ones included.  That is safe because the
+    object is read-only apart from the ``_succ_codes``/``_int_seeds``
+    memos, and those hold only pure functions of their key: a racing
+    thread can at worst compute an entry twice, with the same value.
+    Per-call scratch (visited sets, stacks) must stay local to the call.
     """
 
     __slots__ = (
@@ -66,8 +67,6 @@ class CompiledProblem:
         "ca",
         "cb",
         "n_component",
-        "n_pairs",
-        "psi",
         "psi_flat",
         "n_svc_events",
         "lam_off",
@@ -80,7 +79,6 @@ class CompiledProblem:
         "ext_mask_b",
         "_succ_codes",
         "_int_seeds",
-        "_visited",
     )
 
     def __init__(self, problem: QuotientProblem) -> None:
@@ -90,8 +88,6 @@ class CompiledProblem:
         self.ca = ca
         self.cb = cb
         self.n_component = cb.n_states
-        self.n_pairs = ca.n_states * cb.n_states
-        self.psi = ca.psi_table()
         self.psi_flat = ca.psi_flat()
         self.n_svc_events = ca.n_events
         self.lam_off, self.lam_tg = cb.int_succ_csr()
@@ -128,16 +124,8 @@ class CompiledProblem:
         self.int_moves_map_b = tuple(dict(moves) for moves in int_moves_b)
         self.ext_mask_b = tuple(ext_mask_b)
 
-        # Ext-closure scratch: a memoized successor batch per pair code
-        # (``None`` marks a ¬ok pair) and a byte-per-pair visited buffer
-        # reset after each closure, so the saturation loop allocates no
-        # per-call sets.  Pair spaces past SCRATCH_LIMIT keep the buffer
-        # unallocated and fall back to a hash set.
         self._succ_codes: dict[int, tuple[int, ...] | None] = {}
         self._int_seeds: dict[int, tuple[tuple[int, ...], ...]] = {}
-        self._visited = (
-            bytearray(self.n_pairs) if self.n_pairs <= SCRATCH_LIMIT else None
-        )
 
     # ------------------------------------------------------------------
     # pair-code helpers
@@ -154,17 +142,6 @@ class CompiledProblem:
     def encode_pair(self, pair: Pair) -> int:
         a, b = pair
         return self.ca.index[a] * self.n_component + self.cb.index[b]
-
-    def fingerprint(self) -> str:
-        """The problem's checkpoint fingerprint (see :mod:`repro.persist`).
-
-        Delegates to :func:`repro.persist.problem_fingerprint` on the
-        source problem, so the compiled and labeled representations agree
-        on what identity a checkpoint is bound to.
-        """
-        from ..persist.checkpoint import problem_fingerprint
-
-        return problem_fingerprint(self.problem)
 
     # ------------------------------------------------------------------
     # the Ext-closure (h / φ saturation with the ok check)
@@ -205,33 +182,7 @@ class CompiledProblem:
         :func:`repro.quotient.hmap.ext_closure`.
         """
         succ_codes = self._succ_codes
-        visited = self._visited
-        touched: list[int] = []
         stack: list[int] = []
-        if visited is not None:
-            for code in seed:
-                if not visited[code]:
-                    visited[code] = 1
-                    touched.append(code)
-                    stack.append(code)
-            ok = True
-            while stack:
-                code = stack.pop()
-                succs = succ_codes.get(code, _MISS)
-                if succs is _MISS:
-                    succs = self._succ_for(code)
-                if succs is None:
-                    ok = False
-                    break
-                for c2 in succs:
-                    if not visited[c2]:
-                        visited[c2] = 1
-                        touched.append(c2)
-                        stack.append(c2)
-            for code in touched:
-                visited[code] = 0
-            return frozenset(touched) if ok else None
-        # huge pair space: same loop over a hash set instead of the buffer
         closed: set[int] = set()
         for code in seed:
             if code not in closed:
@@ -288,24 +239,6 @@ class CompiledProblem:
 _PROBLEM_CACHE: OrderedDict[QuotientProblem, CompiledProblem] = OrderedDict()
 
 
-def problem_cache_maxsize() -> int:
-    """The problem-cache bound: ``REPRO_KERNEL_CACHE`` or the default.
-
-    Read per call so long-lived hosts can tune the bound without a
-    restart; anything unparsable or below 1 falls back to
-    :data:`PROBLEM_CACHE_MAXSIZE`.
-    """
-    raw = os.environ.get("REPRO_KERNEL_CACHE")
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            return PROBLEM_CACHE_MAXSIZE
-        if value >= 1:
-            return value
-    return PROBLEM_CACHE_MAXSIZE
-
-
 def compiled_problem(problem: QuotientProblem) -> CompiledProblem:
     """The compiled form of *problem*, from a bounded LRU cache."""
     entry = _PROBLEM_CACHE.get(problem)
@@ -316,8 +249,7 @@ def compiled_problem(problem: QuotientProblem) -> CompiledProblem:
     obs.add("kernel.problem_cache_misses", 1)
     entry = CompiledProblem(problem)
     _PROBLEM_CACHE[problem] = entry
-    maxsize = problem_cache_maxsize()
-    while len(_PROBLEM_CACHE) > maxsize:
+    if len(_PROBLEM_CACHE) > PROBLEM_CACHE_MAXSIZE:
         _PROBLEM_CACHE.popitem(last=False)
         obs.add("kernel.problem_cache_evictions", 1)
     return entry
@@ -492,73 +424,24 @@ def _tau_star_from_adjacency(
 ) -> dict[int, int]:
     """``τ*.⟨b, c⟩`` event masks for every node of a closed *adjacency*.
 
-    Mirrors ``_composite_tau_star_impl``: Tarjan condensation of the
-    internal subgraph, then Ext-event propagation children-first.  The
-    result (and the emitted node/SCC counters) depends only on the graph,
-    not on the dict's insertion order.
+    Mirrors ``_composite_tau_star_impl``: condensation of the internal
+    subgraph, then Ext-event propagation successors-first.  The result
+    (and the emitted node/SCC counters) depends only on the graph, not on
+    the dict's insertion order.
     """
     ext_mask_b = cp.ext_mask_b
     m = n_converter
-
-    index: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
-    scc_stack: list[int] = []
-    scc_of: dict[int, int] = {}
+    components, scc_of = strongly_connected(adjacency, adjacency.__getitem__)
     scc_events: list[int] = []
-    counter = 0
-    for root in adjacency:
-        if root in index:
-            continue
-        work: list[tuple[int, Iterator[int]]] = [(root, iter(adjacency[root]))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        scc_stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, succ_iter = work[-1]
-            advanced = False
-            for nxt in succ_iter:
-                if nxt not in index:
-                    index[nxt] = lowlink[nxt] = counter
-                    counter += 1
-                    scc_stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(adjacency[nxt])))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    lowlink[node] = min(lowlink[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                comp_idx = len(scc_events)
-                events = 0
-                while True:
-                    member = scc_stack.pop()
-                    on_stack.discard(member)
-                    scc_of[member] = comp_idx
-                    events |= ext_mask_b[member // m]
-                    if member == node:
-                        break
-                scc_events.append(events)
-
-    # propagate successor events (emission order = reverse topological)
-    members_of: dict[int, list[int]] = {}
-    for node, comp_idx in scc_of.items():
-        members_of.setdefault(comp_idx, []).append(node)
-    for comp_idx in range(len(scc_events)):
-        events = scc_events[comp_idx]
-        for node in members_of[comp_idx]:
+    for comp_idx, members in enumerate(components):
+        events = 0
+        for node in members:
+            events |= ext_mask_b[node // m]
             for nxt in adjacency[node]:
                 j = scc_of[nxt]
                 if j != comp_idx:
                     events |= scc_events[j]
-        scc_events[comp_idx] = events
+        scc_events.append(events)
 
     obs.add("quotient.progress.tau_star_nodes", len(adjacency))
     obs.add("quotient.progress.tau_star_sccs", len(scc_events))

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 from .. import obs
 from ..events import Alphabet, Event
 from ..spec.compiled import kernel_enabled
-from ..spec.graph import sink_acceptance_sets
+from ..spec.graph import sink_acceptance_sets, strongly_connected
 from ..spec.spec import Specification, State, _state_sort_key
 from .budget import Budget, make_meter
 from .kernel import progress_phase_kernel
@@ -106,9 +106,10 @@ def _composite_tau_star_impl(
     events of the composite are ``B``'s Ext events.
 
     Computed in one shared pass: the internal-move subgraph forward-reachable
-    from the requested nodes is explored once, its SCCs condensed (Tarjan),
-    and the Ext-event sets propagated through the condensation — the same
-    scheme :func:`repro.spec.graph.tau_star` uses, lifted to the product.
+    from the requested nodes is explored once, its SCCs condensed
+    (:func:`~repro.spec.graph.strongly_connected`), and the Ext-event sets
+    propagated through the condensation — the same scheme
+    :func:`repro.spec.graph.tau_star` uses, lifted to the product.
     This keeps the progress phase near-linear per round instead of
     quadratic in the explored product.
     """
@@ -162,66 +163,18 @@ def _composite_tau_star_impl(
             if nxt not in adjacency:
                 stack.append(nxt)
 
-    # iterative Tarjan over the subgraph
-    index: dict[tuple[State, State], int] = {}
-    lowlink: dict[tuple[State, State], int] = {}
-    on_stack: set[tuple[State, State]] = set()
-    scc_stack: list[tuple[State, State]] = []
-    scc_of: dict[tuple[State, State], int] = {}
+    components, scc_of = strongly_connected(adjacency, adjacency.__getitem__)
+    # components arrive successors-first, so one pass propagates τ*
     scc_events: list[set[Event]] = []
-    counter = 0
-
-    for root in adjacency:
-        if root in index:
-            continue
-        work = [(root, iter(adjacency[root]))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        scc_stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, succ_iter = work[-1]
-            advanced = False
-            for nxt in succ_iter:
-                if nxt not in index:
-                    index[nxt] = lowlink[nxt] = counter
-                    counter += 1
-                    scc_stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(adjacency[nxt])))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    lowlink[node] = min(lowlink[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                comp_idx = len(scc_events)
-                events: set[Event] = set()
-                while True:
-                    member = scc_stack.pop()
-                    on_stack.discard(member)
-                    scc_of[member] = comp_idx
-                    events |= ext_of_b[member[0]]
-                    if member == node:
-                        break
-                scc_events.append(events)
-
-    # propagate successor events (emission order = reverse topological)
-    members_of: dict[int, list[tuple[State, State]]] = {}
-    for node, comp_idx in scc_of.items():
-        members_of.setdefault(comp_idx, []).append(node)
-    for comp_idx in range(len(scc_events)):
-        events = scc_events[comp_idx]
-        for node in members_of[comp_idx]:
+    for comp_idx, members in enumerate(components):
+        events: set[Event] = set()
+        for node in members:
+            events |= ext_of_b[node[0]]
             for nxt in adjacency[node]:
                 j = scc_of[nxt]
                 if j != comp_idx:
                     events |= scc_events[j]
+        scc_events.append(events)
 
     obs.add("quotient.progress.tau_star_nodes", len(adjacency))
     obs.add("quotient.progress.tau_star_sccs", len(scc_events))

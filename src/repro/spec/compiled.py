@@ -25,17 +25,20 @@ object, and compiled objects themselves are memoized in a bounded LRU cache
 keyed on the spec — valid because specifications are immutable, hashable
 value objects.
 
-The kernel is enabled by default; set ``REPRO_KERNEL=0`` (or use
-:func:`use_kernel`) to force the reference labeled-state paths, which are
-kept alongside the kernel for differential testing and benchmarking.  Both
-paths produce *identical* results — the compiled exploration decodes back
-to the same labeled specifications at the boundary (see
-``tests/test_compiled_kernel.py`` and ``docs/performance.md``).
+The kernel runs in five places, each of which a benchmark workload
+measures: :func:`~repro.compose.binary.compose`,
+:func:`~repro.satisfy.safety.satisfies_safety`,
+:func:`~repro.satisfy.progress.satisfies_progress` and the quotient's
+safety and progress phases (:mod:`repro.quotient.kernel`).  Each keeps its
+labeled reference path beside it as the differential oracle;
+:func:`use_kernel` forces those paths.  Both produce *identical* results —
+the compiled exploration decodes back to the same labeled specifications
+at the boundary (see ``tests/test_compiled_kernel.py`` and
+``docs/performance.md``).
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -43,6 +46,7 @@ from typing import Iterator
 
 from .. import obs
 from ..events import Alphabet, Event
+from .graph import strongly_connected
 from .spec import Specification, State
 
 __all__ = [
@@ -60,7 +64,7 @@ __all__ = [
 #: spec they ever touched.
 CACHE_MAXSIZE = 128
 
-_ENABLED = os.environ.get("REPRO_KERNEL", "1").lower() not in ("0", "false", "off")
+_ENABLED = True
 
 
 def kernel_enabled() -> bool:
@@ -215,58 +219,16 @@ class CompiledSpec:
         topological order (every λ-successor component has a lower index).
         """
         cached = self._memo.get("condensation")
-        if cached is not None:
-            return cached  # type: ignore[return-value]
-        int_succ = self.int_succ
-        index: dict[int, int] = {}
-        lowlink: dict[int, int] = {}
-        on_stack: set[int] = set()
-        stack: list[int] = []
-        components: list[tuple[int, ...]] = []
-        scc_of = [0] * self.n_states
-        counter = 0
-        for root in range(self.n_states):
-            if root in index:
-                continue
-            work: list[tuple[int, Iterator[int]]] = [(root, iter(int_succ[root]))]
-            index[root] = lowlink[root] = counter
-            counter += 1
-            stack.append(root)
-            on_stack.add(root)
-            while work:
-                node, succ_iter = work[-1]
-                advanced = False
-                for nxt in succ_iter:
-                    if nxt not in index:
-                        index[nxt] = lowlink[nxt] = counter
-                        counter += 1
-                        stack.append(nxt)
-                        on_stack.add(nxt)
-                        work.append((nxt, iter(int_succ[nxt])))
-                        advanced = True
-                        break
-                    if nxt in on_stack:
-                        lowlink[node] = min(lowlink[node], index[nxt])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
-                if lowlink[node] == index[node]:
-                    comp_idx = len(components)
-                    members: list[int] = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        scc_of[member] = comp_idx
-                        members.append(member)
-                        if member == node:
-                            break
-                    components.append(tuple(members))
-        result = (tuple(scc_of), tuple(components))
-        self._memo["condensation"] = result
-        return result
+        if cached is None:
+            components, scc_of = strongly_connected(
+                range(self.n_states), self.int_succ.__getitem__
+            )
+            cached = (
+                tuple(scc_of[i] for i in range(self.n_states)),
+                tuple(tuple(members) for members in components),
+            )
+            self._memo["condensation"] = cached
+        return cached  # type: ignore[return-value]
 
     def closure_masks(self) -> tuple[int, ...]:
         """``λ*`` per state, as a state bitmask (bit ``i`` = state id ``i``)."""
@@ -307,40 +269,6 @@ class CompiledSpec:
             cached = tuple(comp_events[scc_of[i]] for i in range(self.n_states))
             self._memo["tau_star_masks"] = cached
         return cached  # type: ignore[return-value]
-
-    def reachable_mask(self, origin: int | None = None) -> int:
-        """States reachable from *origin* (default: initial) via ``T ∪ λ``,
-        as a state bitmask.  The default-origin mask is memoized (it backs
-        :func:`repro.spec.graph.reachable_states` and the semantic
-        analyzer's dead-state rule ``SEM201``)."""
-        if origin is None:
-            cached = self._memo.get("reachable_mask")
-            if cached is not None:
-                return cached  # type: ignore[return-value]
-            origin = self.initial
-            memoize = True
-        else:
-            memoize = False
-        seen = 1 << origin
-        stack = [origin]
-        ext_moves = self.ext_moves
-        int_succ = self.int_succ
-        while stack:
-            i = stack.pop()
-            for _eid, targets in ext_moves[i]:
-                for t in targets:
-                    bit = 1 << t
-                    if not seen & bit:
-                        seen |= bit
-                        stack.append(t)
-            for t in int_succ[i]:
-                bit = 1 << t
-                if not seen & bit:
-                    seen |= bit
-                    stack.append(t)
-        if memoize:
-            self._memo["reachable_mask"] = seen
-        return seen
 
     def sink_menu(self) -> tuple[tuple[int, int], ...]:
         """Sink sets as ``(member_mask, acceptance_event_mask)`` pairs.

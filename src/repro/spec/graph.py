@@ -15,12 +15,14 @@ about the internal-transition relation ``λ`` and the external relation ``T``:
 All functions are pure and deterministic.  Whole-spec variants return dicts
 keyed by state and are computed in linear(ish) time via Tarjan's SCC
 algorithm and condensation-DAG propagation, since the satisfaction and
-quotient phases query every state.
+quotient phases query every state.  :func:`strongly_connected` is the one
+Tarjan implementation; the compiled kernel, the progress phase's product
+τ* crawls and the semantic analyzer all condense through it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Hashable, Iterable, TypeVar
 
 from .. import obs
 from ..events import Alphabet, Event
@@ -60,37 +62,20 @@ def lambda_closure(spec: Specification) -> dict[State, frozenset[State]]:
     """``λ*`` for every state, as a dict ``s -> {s' : s λ* s'}``.
 
     Computed via the condensation of the λ-graph so shared suffixes are not
-    re-explored per state.  With the kernel enabled the closure comes from
-    the compiled spec's memoized bitmask analysis (value-identical).
+    re-explored per state.
     """
     obs.add("graph.lambda_closure_runs", 1)
-    from .compiled import compiled, kernel_enabled
-
-    if kernel_enabled():
-        cs = compiled(spec)
-        masks = cs.closure_masks()
-        decoded: dict[int, frozenset[State]] = {}
-        result: dict[State, frozenset[State]] = {}
-        for i, s in enumerate(cs.states):
-            mask = masks[i]
-            members = decoded.get(mask)
-            if members is None:
-                members = cs.decode_state_mask(mask)
-                decoded[mask] = members
-            result[s] = members
-        return result
     sccs, scc_of = internal_sccs(spec)
-    # closure over SCC DAG, in reverse topological order
-    order = _topological_scc_order(spec, sccs, scc_of)
-    scc_closure: list[set[int]] = [set() for _ in sccs]
-    for idx in reversed(order):
+    # components arrive successors-first, so one pass closes them all
+    scc_closure: list[set[int]] = []
+    for idx, component in enumerate(sccs):
         result = {idx}
-        for s in sccs[idx]:
+        for s in component:
             for s2 in spec.internal_successors(s):
                 j = scc_of[s2]
                 if j != idx:
                     result |= scc_closure[j]
-        scc_closure[idx] = result
+        scc_closure.append(result)
     closure: dict[State, frozenset[State]] = {}
     scc_states: list[frozenset[State]] = [frozenset(c) for c in sccs]
     expanded: list[frozenset[State]] = []
@@ -105,8 +90,70 @@ def lambda_closure(spec: Specification) -> dict[State, frozenset[State]]:
 
 
 # ----------------------------------------------------------------------
-# strongly connected components of the λ graph (Tarjan, iterative)
+# strongly connected components (Tarjan, iterative)
 # ----------------------------------------------------------------------
+_Node = TypeVar("_Node", bound=Hashable)
+
+
+def strongly_connected(
+    roots: Iterable[_Node], succ: Callable[[_Node], Iterable[_Node]]
+) -> tuple[list[list[_Node]], dict[_Node, int]]:
+    """Tarjan SCCs of the graph reachable from *roots*.
+
+    Roots are tried in the order given and each node's successors are
+    followed in the order ``succ(node)`` yields them.  Returns
+    ``(components, scc_of)``: ``components[i]`` lists the members of
+    component ``i`` in the order they leave Tarjan's stack, and
+    ``scc_of`` maps every reached node to its component index.
+
+    Components come **successors-first**: for every edge ``u → v``,
+    ``scc_of[v] <= scc_of[u]``, so one pass in index order propagates a
+    value along the condensation DAG.  Equal root and successor orders
+    give equal output.
+    """
+    index: dict[_Node, int] = {}
+    lowlink: dict[_Node, int] = {}
+    on_stack: set[_Node] = set()
+    stack: list[_Node] = []
+    components: list[list[_Node]] = []
+    scc_of: dict[_Node, int] = {}
+    for root in roots:
+        if root in index:
+            continue
+        index[root] = lowlink[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ(root)))]
+        while work:
+            node, succ_iter = work[-1]
+            for nxt in succ_iter:
+                if nxt not in index:
+                    index[nxt] = lowlink[nxt] = len(index)
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(succ(nxt))))
+                    break
+                if nxt in on_stack:
+                    lowlink[node] = min(lowlink[node], index[nxt])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[node])
+                if lowlink[node] == index[node]:
+                    comp_idx = len(components)
+                    component: list[_Node] = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        scc_of[member] = comp_idx
+                        component.append(member)
+                        if member == node:
+                            break
+                    components.append(component)
+    return components, scc_of
+
+
 def internal_sccs(
     spec: Specification,
 ) -> tuple[list[list[State]], dict[State, int]]:
@@ -116,75 +163,16 @@ def internal_sccs(
     member states of SCC ``i`` and ``index_of[s]`` maps each state to its
     component index.  Deterministic: states are visited in sorted order.
     """
-    index_counter = 0
-    index: dict[State, int] = {}
-    lowlink: dict[State, int] = {}
-    on_stack: set[State] = set()
-    stack: list[State] = []
-    components: list[list[State]] = []
-    scc_of: dict[State, int] = {}
 
-    ordered_states = sorted(spec.states, key=_state_sort_key)
+    def succ(state: State) -> list[State]:
+        return sorted(spec.internal_successors(state), key=_state_sort_key)
 
-    for root in ordered_states:
-        if root in index:
-            continue
-        # iterative Tarjan with explicit work stack of (state, iterator)
-        work = [(root, iter(sorted(spec.internal_successors(root), key=_state_sort_key)))]
-        index[root] = lowlink[root] = index_counter
-        index_counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            state, succ_iter = work[-1]
-            advanced = False
-            for s2 in succ_iter:
-                if s2 not in index:
-                    index[s2] = lowlink[s2] = index_counter
-                    index_counter += 1
-                    stack.append(s2)
-                    on_stack.add(s2)
-                    work.append(
-                        (s2, iter(sorted(spec.internal_successors(s2), key=_state_sort_key)))
-                    )
-                    advanced = True
-                    break
-                if s2 in on_stack:
-                    lowlink[state] = min(lowlink[state], index[s2])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[state])
-            if lowlink[state] == index[state]:
-                component: list[State] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == state:
-                        break
-                comp_idx = len(components)
-                components.append(component)
-                for member in component:
-                    scc_of[member] = comp_idx
+    components, scc_of = strongly_connected(
+        sorted(spec.states, key=_state_sort_key), succ
+    )
     obs.add("graph.scc_runs", 1)
     obs.add("graph.scc_components", len(components))
     return components, scc_of
-
-
-def _topological_scc_order(
-    spec: Specification,
-    sccs: list[list[State]],
-    scc_of: dict[State, int],
-) -> list[int]:
-    """SCC indices in topological order of the condensation DAG.
-
-    Tarjan emits SCCs in *reverse* topological order, so this is just the
-    reversal of the discovery order.
-    """
-    return list(range(len(sccs) - 1, -1, -1))
 
 
 # ----------------------------------------------------------------------
@@ -254,33 +242,17 @@ def tau_star_of(spec: Specification, state: State) -> Alphabet:
 def tau_star(spec: Specification) -> dict[State, Alphabet]:
     """``τ*`` for every state at once (condensation-DAG propagation)."""
     obs.add("graph.tau_star_runs", 1)
-    from .compiled import compiled, kernel_enabled
-
-    if kernel_enabled():
-        cs = compiled(spec)
-        masks = cs.tau_star_masks()
-        decoded: dict[int, Alphabet] = {}
-        result: dict[State, Alphabet] = {}
-        for i, s in enumerate(cs.states):
-            mask = masks[i]
-            events = decoded.get(mask)
-            if events is None:
-                events = cs.decode_event_mask(mask)
-                decoded[mask] = events
-            result[s] = events
-        return result
     sccs, scc_of = internal_sccs(spec)
-    order = _topological_scc_order(spec, sccs, scc_of)
-    scc_events: list[set[Event]] = [set() for _ in sccs]
-    for idx in reversed(order):
+    scc_events: list[set[Event]] = []
+    for idx, component in enumerate(sccs):
         events: set[Event] = set()
-        for s in sccs[idx]:
+        for s in component:
             events |= spec.enabled(s)
             for s2 in spec.internal_successors(s):
                 j = scc_of[s2]
                 if j != idx:
                     events |= scc_events[j]
-        scc_events[idx] = events
+        scc_events.append(events)
     return {s: Alphabet(scc_events[scc_of[s]]) for s in spec.states}
 
 
@@ -305,12 +277,6 @@ def sink_acceptance_sets(spec: Specification, state: State) -> list[Alphabet]:
 # ----------------------------------------------------------------------
 def reachable_states(spec: Specification, origin: State | None = None) -> frozenset[State]:
     """States reachable from *origin* (default: initial) via ``T ∪ λ``."""
-    from .compiled import compiled, kernel_enabled
-
-    if kernel_enabled():
-        comp = compiled(spec)
-        start_id = None if origin is None else comp.index[origin]
-        return comp.decode_state_mask(comp.reachable_mask(start_id))
     start = spec.initial if origin is None else origin
     seen = {start}
     stack = [start]

@@ -200,6 +200,19 @@ class TestExportsOnPartialExit:
         assert "counters:" in captured.out
         assert "guarantees: partial" in captured.out
 
+    def test_partial_semantic_run_reports_its_product_work(
+        self, dsl_file, capsys
+    ):
+        code = main(
+            ["analyze", dsl_file, "service", "component", "--compose",
+             "--budget-pairs", "1", "--metrics", "json"]
+        )
+        assert code == 3
+        out = capsys.readouterr().out
+        assert "3 state(s)" in out
+        payload = json.loads(out[out.index("{"):])
+        assert payload["counters"]["lint.sem.product_states"] == 3
+
     def test_solve_interrupt_exit_4_still_writes_trace(
         self, dsl_file, tmp_path, capsys
     ):

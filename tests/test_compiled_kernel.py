@@ -1,21 +1,22 @@
 """Differential tests for the compiled integer-indexed kernel.
 
-The kernel (:mod:`repro.spec.compiled` plus the integer hot paths in
-compose/quotient/satisfy) must be *observationally identical* to the
-reference labeled-state implementations — same specifications, same
-counterexamples, same work counters.  Every test here compares the two
-paths on the same inputs, with the reference obtained under
-``use_kernel(False)``.
+The kernel (:mod:`repro.spec.compiled` plus the integer hot paths of
+``compose``, the quotient's safety and progress phases, and
+``satisfies_safety`` / ``satisfies_progress``) must be *observationally
+identical* to the reference labeled-state implementations — same
+specifications, same counterexamples, same work counters.  The
+differential tests compare the two paths on the same inputs, with the
+reference obtained under ``use_kernel(False)``.
 
 Coverage:
 
-* compose / synchronous product on random spec pairs;
+* ``compose`` on random spec pairs;
 * ``solve_quotient`` end to end on random quotient instances (existence,
   converter, ``f`` maps, phase records);
 * ``satisfies_safety`` / ``satisfies_progress`` (verdict, counterexample /
   violation, pairs explored);
-* the whole-spec graph analyses (λ*, τ*, sinks, acceptance menus, ψ)
-  against their reference computations;
+* the compiled spec's memoized analyses (λ*, τ*, sinks, acceptance menus,
+  ψ) decoded against the labeled graph functions;
 * compile-cache behaviour (LRU bound, structural sharing, obs counters);
 * byte-identical regeneration of the committed SEC7 benchmark reports.
 
@@ -29,17 +30,19 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.compose import compose
+from repro.compose import compose, compose_many
 from repro.quotient import solve_quotient
 from repro.satisfy import satisfies_progress, satisfies_safety
 from repro.spec import (
     CompiledSpec,
+    SpecBuilder,
     Specification,
     compiled,
     compiled_cache_clear,
@@ -247,21 +250,6 @@ class TestSatisfyDifferential:
 # differential: whole-spec graph analyses
 # ----------------------------------------------------------------------
 class TestAnalysesDifferential:
-    @settings(max_examples=40, deadline=None)
-    @given(seed=SEEDS, size=SIZES)
-    def test_lambda_closure_and_tau_star_dispatch(self, seed, size):
-        spec = random_spec(
-            n_states=size, events=EVENTS, internal_density=0.25, seed=seed
-        )
-        with use_kernel(True):
-            fast_closure = lambda_closure(spec)
-            fast_tau = tau_star(spec)
-        with use_kernel(False):
-            slow_closure = lambda_closure(spec)
-            slow_tau = tau_star(spec)
-        assert fast_closure == slow_closure
-        assert fast_tau == slow_tau
-
     @settings(max_examples=30, deadline=None)
     @given(seed=SEEDS, size=SIZES)
     def test_compiled_analyses_decode_to_reference(self, seed, size):
@@ -376,6 +364,65 @@ class TestCompileCache:
     def test_compiled_spec_exported(self):
         spec = random_spec(n_states=3, events=["a"], seed=0)
         assert isinstance(compiled(spec), CompiledSpec)
+
+
+# ----------------------------------------------------------------------
+# concurrent solves share one compiled problem through the cache
+# ----------------------------------------------------------------------
+def _relay(k: int) -> tuple[Specification, Specification]:
+    """The SEC7 relay family: k independent x -> m -> n -> y relays."""
+    services = [
+        SpecBuilder(f"A{i}")
+        .external(0, f"x{i}", 1)
+        .external(1, f"y{i}", 0)
+        .initial(0)
+        .build()
+        for i in range(k)
+    ]
+    components = [
+        SpecBuilder(f"B{i}")
+        .external(0, f"x{i}", 1)
+        .external(1, f"m{i}", 2)
+        .external(2, f"n{i}", 3)
+        .external(3, f"y{i}", 0)
+        .initial(0)
+        .build()
+        for i in range(k)
+    ]
+    return compose_many(services), compose_many(components)
+
+
+class TestConcurrentSolves:
+    def test_two_threads_solving_one_problem_match_the_sequential_solve(self):
+        service, component = _relay(4)
+        # the sequential solve also warms the problem cache both threads hit
+        expected = _quotient_fingerprint(solve_quotient(service, component))
+        assert len(expected[1].states) == 3**4 + 1
+        results: list = []
+
+        def solve() -> None:
+            try:
+                results.append(
+                    _quotient_fingerprint(solve_quotient(service, component))
+                )
+            except Exception as exc:  # noqa: BLE001 — reported by the assert
+                results.append(("raise", type(exc).__name__, str(exc)))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                threads = [threading.Thread(target=solve) for _ in range(2)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(previous)
+        assert len(results) == 10
+        wrong = [r for r in results if r != expected]
+        assert not wrong, f"{len(wrong)} of 10 concurrent solves differ"
 
 
 # ----------------------------------------------------------------------

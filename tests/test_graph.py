@@ -1,5 +1,8 @@
 """Unit tests for graph primitives: λ*, SCCs, sink sets, τ*."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.events import Alphabet
 from repro.spec import SpecBuilder
 from repro.spec.graph import (
@@ -14,6 +17,7 @@ from repro.spec.graph import (
     sink_acceptance_sets,
     sink_sets,
     sink_states,
+    strongly_connected,
     tau,
     tau_star,
     tau_star_of,
@@ -95,6 +99,56 @@ class TestSCC:
         spec = fig4_left()
         _, scc_of = internal_sccs(spec)
         assert set(scc_of) == set(spec.states)
+
+
+@st.composite
+def digraphs(draw):
+    """``(adjacency, roots)``: up to 8 nodes, random successor and root order."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    adjacency = [
+        draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+        for _ in range(n)
+    ]
+    roots = draw(st.permutations(range(n)))
+    return adjacency, roots
+
+
+def _reach(adjacency, source):
+    seen = {source}
+    stack = [source]
+    while stack:
+        for nxt in adjacency[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
+class TestStronglyConnected:
+    @settings(max_examples=300, deadline=None)
+    @given(digraphs())
+    def test_components_order_and_determinism(self, graph):
+        adjacency, roots = graph
+        n = len(adjacency)
+        components, scc_of = strongly_connected(roots, adjacency.__getitem__)
+
+        # an exact partition into mutual-reachability classes
+        reach = [_reach(adjacency, u) for u in range(n)]
+        classes = {frozenset(v for v in reach[u] if u in reach[v]) for u in range(n)}
+        assert sorted(m for c in components for m in c) == list(range(n))
+        assert {frozenset(c) for c in components} == classes
+        for idx, members in enumerate(components):
+            assert all(scc_of[m] == idx for m in members)
+
+        # successors-first: one pass in index order sees every successor
+        for u, succs in enumerate(adjacency):
+            for v in succs:
+                assert scc_of[v] <= scc_of[u]
+
+        # equal orders, equal output
+        again = strongly_connected(list(roots), lambda u: list(adjacency[u]))
+        assert again == (components, scc_of)
+        assert list(again[1].items()) == list(scc_of.items())
 
 
 class TestSinkSets:

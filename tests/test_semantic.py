@@ -1,9 +1,9 @@
 """Tests for the semantic analyzer (``repro.lint.semantic``, SEM2xx).
 
 Each rule gets a purpose-built broken system that triggers exactly it;
-the paper scenarios double as the clean corpus (zero errors).  The
-kernel and reference product explorers are pinned byte-identical, and
-budget trips must carry the partial report.
+the paper scenarios double as the clean corpus (zero errors).  Reports
+are byte-identical across runs, and budget trips must carry the partial
+report.
 """
 
 import json
@@ -19,7 +19,6 @@ from repro.lint import (
     analyze_problem,
     analyze_result,
     analyze_spec,
-    explore_product,
 )
 from repro.protocols import (
     ab_end_to_end,
@@ -32,7 +31,6 @@ from repro.protocols import (
 )
 from repro.quotient.budget import Budget
 from repro.quotient.solve import solve_quotient
-from repro.spec.compiled import use_kernel
 
 
 def specs_of(text):
@@ -451,34 +449,9 @@ class TestScenariosAreClean:
 
 
 # ----------------------------------------------------------------------
-# determinism and the kernel differential
+# determinism
 # ----------------------------------------------------------------------
 class TestDeterminismAndKernel:
-    @pytest.mark.parametrize(
-        "build", [ab_end_to_end, colocated_scenario, handshake_scenario],
-        ids=lambda b: b.__name__,
-    )
-    def test_kernel_and_reference_reports_identical(self, build):
-        scenario = build()
-        parts = list(scenario.components)
-        kernel_report = analyze_composition(parts)
-        with use_kernel(False):
-            reference_report = analyze_composition(parts)
-        assert kernel_report.to_json() == reference_report.to_json()
-
-    @pytest.mark.parametrize(
-        "build", [ab_end_to_end, handshake_scenario], ids=lambda b: b.__name__
-    )
-    def test_product_graphs_identical(self, build):
-        parts = list(build().components)
-        kernel_graph = explore_product(parts)
-        with use_kernel(False):
-            reference_graph = explore_product(parts)
-        assert kernel_graph.vectors == reference_graph.vectors
-        assert kernel_graph.ext_out == reference_graph.ext_out
-        assert kernel_graph.int_out == reference_graph.int_out
-        assert kernel_graph.parents == reference_graph.parents
-
     def test_repeated_runs_byte_identical(self):
         parts = list(ab_end_to_end().components)
         first = analyze_composition(parts).to_json()
