@@ -2,8 +2,8 @@
 
 Where :mod:`repro.faults` models a hostile *medium* (the channels the
 derived converter must survive), this package models a hostile
-*machine*: dying or wedged job workers and disks that fail or run out of
-space mid-checkpoint.  The supervised runtime —
+*machine*: served jobs that fail transiently and disks that fail or run
+out of space mid-checkpoint.  The supervised runtime —
 :class:`~repro.serve.workers.WorkerSupervisor`'s job supervision and
 :mod:`repro.persist.store`'s retrying I/O — must keep every output
 byte-identical to a fault-free run under any :class:`ChaosPlan`;

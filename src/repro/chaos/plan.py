@@ -3,9 +3,9 @@
 The paper derives converters that stay correct when the *modeled* medium
 misbehaves (:mod:`repro.faults`); this module applies the same
 philosophy to the solver's own runtime.  A :class:`ChaosPlan` describes
-a hostile environment for one run — served jobs whose worker dies, wedges
-or fails at the Nth job, store writes that hit ``ENOSPC`` or land torn —
-and the supervised execution layers (:mod:`repro.serve.workers`,
+a hostile environment for one run — served job attempts that fail
+transiently, store writes that hit ``ENOSPC`` or land torn — and the
+supervised execution layers (:mod:`repro.serve.workers`,
 :mod:`repro.persist.store`) consult it through test-only seams.
 
 Two properties make the plans usable in differential tests:
@@ -21,7 +21,7 @@ Two properties make the plans usable in differential tests:
   ``None`` check when no plan is active.  Activation is explicit:
   :func:`use_chaos` / :func:`set_chaos` in-process, or the
   ``REPRO_CHAOS`` environment variable (a ``key=value`` comma list, e.g.
-  ``REPRO_CHAOS="seed=7,p_kill=0.05,p_write_enospc=0.2"``) for CLI and
+  ``REPRO_CHAOS="seed=7,p_raise=0.05,p_write_enospc=0.2"``) for CLI and
   CI runs.
 
 The injected faults are *transient by construction*: each consultation
@@ -57,7 +57,7 @@ __all__ = [
 SITES = (
     "store.write",      # persist.store envelope writes
     "store.read",       # persist.store envelope reads
-    "serve.job",        # serve-layer job execution (kill / hang / raise)
+    "serve.job",        # serve-layer job execution (raise)
 )
 
 
@@ -93,21 +93,18 @@ def _indices(name: str, value: tuple) -> None:
 class ChaosPlan:
     """One run's fault schedule; immutable, picklable, fully seeded.
 
-    Every fault has two knobs: an explicit index tuple (``kill_at=(3,)``
-    fires at exactly the 4th job attempt — targeted tests) and a
-    probability (``p_kill=0.05`` fires at ~5% of attempts, decided by the
+    Every fault has two knobs: an explicit index tuple (``raise_at=(3,)``
+    fires at exactly the 4th served job — targeted tests) and a
+    probability (``p_raise=0.05`` fires at ~5% of jobs, decided by the
     seeded hash of ``(seed, site, n)`` — randomized sweeps).  Either
     firing injects the fault.
 
-    Job faults (site ``serve.job``, counted per job attempt; see
+    Job faults (site ``serve.job``, counted per served job; see
     :meth:`ChaosState.serve_job_fault`):
 
-    * ``kill_at`` / ``p_kill`` — the job's worker dies mid-solve; the
-      supervisor resumes the job from its checkpoint.
-    * ``hang_at`` / ``p_hang`` — the job's worker wedges mid-solve; the
-      supervisor recovers it the same way.
-    * ``raise_at`` / ``p_raise`` — the attempt raises :class:`OSError`,
-      simulating a transient failure the retry policy absorbs.
+    * ``raise_at`` / ``p_raise`` — the job's first attempt raises
+      :class:`OSError`, simulating a transient failure the retry policy
+      absorbs.
 
     Store faults (sites ``store.write`` / ``store.read``, counted per
     process across all paths):
@@ -126,10 +123,6 @@ class ChaosPlan:
 
     seed: int = 0
     # job faults
-    kill_at: tuple[int, ...] = ()
-    p_kill: float = 0.0
-    hang_at: tuple[int, ...] = ()
-    p_hang: float = 0.0
     raise_at: tuple[int, ...] = ()
     p_raise: float = 0.0
     # store faults
@@ -181,14 +174,8 @@ class ChaosPlan:
             return False
         return random.Random(f"{self.seed}|{site}|{n}").random() < p
 
-    # the job-fault hash sites are named "worker.*": renaming them would
+    # the job-fault hash site is named "worker.raise": renaming it would
     # change the decisions of every seeded schedule
-    def kill_worker(self, n: int) -> bool:
-        return self._fires("worker.kill", n, self.kill_at, self.p_kill)
-
-    def hang_worker(self, n: int) -> bool:
-        return self._fires("worker.hang", n, self.hang_at, self.p_hang)
-
     def raise_in_worker(self, n: int) -> bool:
         return self._fires("worker.raise", n, self.raise_at, self.p_raise)
 
@@ -216,7 +203,7 @@ class ChaosPlan:
         """Parse a ``key=value`` comma list into a plan.
 
         Ints and floats parse naturally; index tuples are colon-separated
-        (``kill_at=2:5``), as is the site filter
+        (``raise_at=2:5``), as is the site filter
         (``sites=serve.job:store.write``).  Unknown keys and unknown
         site names are rejected with a structured
         :class:`ChaosSpecError` so a typo cannot silently disable the
@@ -311,28 +298,19 @@ class ChaosState:
             return True
         return False
 
-    def serve_job_fault(self) -> str | None:
-        """``"kill"`` / ``"hang"`` / ``"raise"`` for the next served job.
+    def serve_job_fault(self) -> bool:
+        """Whether the next served job's first attempt raises.
 
         The serve layer (:mod:`repro.serve.workers`) consults this once
-        per job attempt: a *kill* simulates the job's worker dying
-        mid-solve (recovered via checkpoint resume), a *hang* a
-        wedged worker (recovered via the job deadline), a *raise* a
-        transient pre-flight failure (recovered via RetryPolicy).
+        per job; the injected transient failure is recovered by the
+        job's :class:`~repro.chaos.RetryPolicy`.
         """
         if not self.plan.site_enabled("serve.job"):
-            return None
-        n = self.next_index("serve.job")
-        if self.plan.kill_worker(n):
-            self.injected("serve.job.kill")
-            return "kill"
-        if self.plan.hang_worker(n):
-            self.injected("serve.job.hang")
-            return "hang"
-        if self.plan.raise_in_worker(n):
+            return False
+        if self.plan.raise_in_worker(self.next_index("serve.job")):
             self.injected("serve.job.raise")
-            return "raise"
-        return None
+            return True
+        return False
 
 
 # ----------------------------------------------------------------------

@@ -29,8 +29,8 @@ Subcommands
     records.  Server-executed jobs appear with ``--kind served``.
 ``serve``
     Run the derivation server: solve/resilience/analyze jobs over
-    HTTP/JSON with content-addressed dedup, crash recovery, and graceful
-    degradation (see ``docs/serving.md``).
+    HTTP/JSON with content-addressed dedup and crash recovery (see
+    ``docs/serving.md``).
 ``submit``
     Submit a job to a running server (optionally ``--wait`` for the
     result; a cached fingerprint returns instantly).
@@ -1165,13 +1165,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from .serve import DerivationServer
 
+    # before DerivationServer touches the store
+    if args.workers < 1:
+        raise ReproError(f"--workers must be >= 1, got {args.workers!r}")
+    if args.capacity < 1:
+        raise ReproError(f"--capacity must be >= 1, got {args.capacity!r}")
     server = DerivationServer(
         args.store,
         host=args.host,
         port=args.port,
         capacity=args.capacity,
         workers=args.workers,
-        respawn_budget=args.respawn_budget,
     )
 
     def ready(s: DerivationServer) -> None:
@@ -1297,8 +1301,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             f" outcome={record['outcome']} verdict={record['verdict']}"
             f" attempts={record['attempts']}"
         )
-        if record.get("worker_deaths"):
-            line += f" worker_deaths={record['worker_deaths']}"
         if record.get("error"):
             line += f" error={record['error']!r}"
         print(line)
@@ -1674,14 +1676,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the derivation server (HTTP/JSON, content-addressed)",
         description=(
             "Serve solve/resilience/analyze jobs over HTTP/JSON with "
-            "content-addressed deduplication, bounded admission, "
-            "crash-recovering supervised execution, and graceful "
-            "degradation.  Runs until SIGTERM/SIGINT (or POST "
-            "/shutdown), then drains: running jobs checkpoint, queued "
-            "jobs persist, and a restarted server resumes all of them.  "
-            "REPRO_CHAOS fault schedules apply to the server's own "
-            "execution (site serve.job) and its store I/O.  See "
-            "docs/serving.md."
+            "content-addressed deduplication, bounded admission, and "
+            "crash-recovering supervised execution.  Runs until "
+            "SIGTERM/SIGINT (or POST /shutdown), then drains: running "
+            "jobs finish, queued jobs persist, and a restarted server "
+            "runs them.  REPRO_CHAOS fault schedules apply to the "
+            "server's own execution (site serve.job) and its store I/O.  "
+            "See docs/serving.md."
         ),
     )
     p_serve.add_argument(
@@ -1703,11 +1704,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--workers", type=int, default=2,
         help="concurrent job executors (default 2)",
-    )
-    p_serve.add_argument(
-        "--respawn-budget", type=int, default=16, metavar="N",
-        help="worker deaths absorbed before degrading to sequential "
-        "in-process draining (default 16)",
     )
     p_serve.set_defaults(func=_cmd_serve)
 

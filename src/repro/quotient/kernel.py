@@ -24,6 +24,7 @@ The ``τ*`` crawl condenses its product subgraph with the shared
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict, deque
 
 from .. import obs
@@ -237,27 +238,38 @@ class CompiledProblem:
 # the bounded problem cache
 # ----------------------------------------------------------------------
 _PROBLEM_CACHE: OrderedDict[QuotientProblem, CompiledProblem] = OrderedDict()
+#: Guards the cache the way :data:`repro.spec.compiled._CACHE_LOCK` does.
+_PROBLEM_CACHE_LOCK = threading.Lock()
 
 
 def compiled_problem(problem: QuotientProblem) -> CompiledProblem:
-    """The compiled form of *problem*, from a bounded LRU cache."""
-    entry = _PROBLEM_CACHE.get(problem)
+    """The compiled form of *problem*, from a bounded LRU cache.
+
+    Safe to call from any thread; a miss compiles outside the lock.
+    """
+    with _PROBLEM_CACHE_LOCK:
+        entry = _PROBLEM_CACHE.get(problem)
+        if entry is not None:
+            _PROBLEM_CACHE.move_to_end(problem)
     if entry is not None:
-        _PROBLEM_CACHE.move_to_end(problem)
         obs.add("kernel.problem_cache_hits", 1)
         return entry
     obs.add("kernel.problem_cache_misses", 1)
     entry = CompiledProblem(problem)
-    _PROBLEM_CACHE[problem] = entry
-    if len(_PROBLEM_CACHE) > PROBLEM_CACHE_MAXSIZE:
-        _PROBLEM_CACHE.popitem(last=False)
+    with _PROBLEM_CACHE_LOCK:
+        _PROBLEM_CACHE[problem] = entry
+        evicted = len(_PROBLEM_CACHE) > PROBLEM_CACHE_MAXSIZE
+        if evicted:
+            _PROBLEM_CACHE.popitem(last=False)
+    if evicted:
         obs.add("kernel.problem_cache_evictions", 1)
     return entry
 
 
 def problem_cache_clear() -> None:
     """Drop every cached compiled problem (testing aid)."""
-    _PROBLEM_CACHE.clear()
+    with _PROBLEM_CACHE_LOCK:
+        _PROBLEM_CACHE.clear()
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,8 @@
 The batch entry points (:func:`~repro.quotient.solve_quotient`,
 :func:`~repro.faults.evaluate_resilience`, :mod:`repro.lint`) wrapped in
 an asyncio HTTP/JSON server with content-addressed deduplication,
-bounded admission, supervised retry/resume execution, and graceful
-degradation.  Everything durable rides on :mod:`repro.persist` — atomic
+bounded admission, and supervised retry/resume execution on worker
+threads.  Everything durable rides on :mod:`repro.persist` — atomic
 envelope writes, ``.prev`` fallback, integrity-checked reads — so the
 server inherits the same crash-consistency story (and ``REPRO_CHAOS``
 fault schedule) as the checkpoint layer.
@@ -16,8 +16,7 @@ Layering (each module only imports downward):
 ``store_index``  the durable state: results, job records, checkpoints,
                  the artifact-graph index, the run ledger
 ``queue``        bounded admission: priorities, shedding, backpressure
-``workers``      supervision: retry, resume-after-death, respawn budget,
-                 degraded drain
+``workers``      supervision: retry, budgets, deadlines, drain
 ``app``          the asyncio HTTP server tying it together
 ``client``       a stdlib client (CLI ``submit``/``status``, CI smoke)
 

@@ -21,7 +21,7 @@ Protocol (JSON over HTTP/1.1, ``Connection: close``)::
                           terminal state
     GET  /results/<fp>  a cached result document by fingerprint
     GET  /index[?spec=<fp>]  the artifact-graph index
-    GET  /healthz       {"status": "ok" | "degraded" | "draining", ...}
+    GET  /healthz       {"status": "ok" | "draining", ...}
     GET  /metrics       the server collector's counters and gauges
     POST /gc            run store garbage collection
     POST /shutdown      begin the drain (same path as SIGTERM)
@@ -32,11 +32,12 @@ computing twice; a fingerprint with a cached complete result returns it
 immediately (``serve.cache.hit``) without touching the queue.
 
 **Drain** (SIGTERM, SIGINT, or ``POST /shutdown``): admission closes
-(503), queued jobs stay persisted as ``queued``, running jobs are
-interrupted at their next charge boundary and checkpointed as
-``interrupted``, the ledger is flushed, and the process exits cleanly.
-A restarted server re-enqueues all of them (``serve.jobs.recovered``)
-past the admission bound — an accepted job is never lost.
+(503), queued jobs stay persisted as ``queued``, a job already solving
+runs to its end (one whose solve had not started is checkpointed as
+``interrupted``), the ledger is flushed, and the process exits cleanly.
+A restarted server re-enqueues every unfinished job
+(``serve.jobs.recovered``) past the admission bound — an accepted job
+is never lost, SIGKILL included.
 """
 
 from __future__ import annotations
@@ -117,7 +118,6 @@ class DerivationServer:
         port: int = 0,
         capacity: int = 16,
         workers: int = 2,
-        respawn_budget: int = 16,
         retry=DEFAULT_JOB_RETRY,
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
@@ -128,10 +128,7 @@ class DerivationServer:
         self.host = host
         self.port = port
         self.queue = AdmissionQueue(capacity)
-        self.supervisor = WorkerSupervisor(
-            respawn_budget=respawn_budget, retry=retry, sleep=sleep,
-            clock=clock,
-        )
+        self.supervisor = WorkerSupervisor(retry=retry, sleep=sleep, clock=clock)
         self.workers = workers
         self.drain = InterruptController(clock=clock)
         self.draining = False
@@ -141,10 +138,8 @@ class DerivationServer:
         self._inflight: dict[str, str] = {}
         self._done_events: dict[str, asyncio.Event] = {}
         self._progress: dict[str, _Tail] = {}
-        # serializes read-modify-write documents (index, ledger) and the
-        # whole execution when the supervisor has degraded
+        # serializes read-modify-write documents (index, ledger)
         self._store_lock = threading.Lock()
-        self._serial = threading.Lock()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._wake: asyncio.Event | None = None
         self._stopped: asyncio.Event | None = None
@@ -171,9 +166,7 @@ class DerivationServer:
             "verdict": None,
             "error": None,
             "attempts": 0,
-            "worker_deaths": 0,
             "resumed": False,
-            "degradations": [],
             "request": request.to_json_dict(),
         }
         self._seq += 1
@@ -303,17 +296,10 @@ class DerivationServer:
                                     interval_s=0.2)
         previous = set_reporter(reporter)
         try:
-            if self.supervisor.degraded:
-                with self._serial:
-                    outcome = self.supervisor.run_job(
-                        request, self.store,
-                        fingerprint=record["fingerprint"], drain=self.drain,
-                    )
-            else:
-                outcome = self.supervisor.run_job(
-                    request, self.store,
-                    fingerprint=record["fingerprint"], drain=self.drain,
-                )
+            outcome = self.supervisor.run_job(
+                request, self.store,
+                fingerprint=record["fingerprint"], drain=self.drain,
+            )
         finally:
             set_reporter(previous)
         if outcome.state == "done":
@@ -332,9 +318,7 @@ class DerivationServer:
         record["verdict"] = outcome.verdict
         record["error"] = outcome.error
         record["attempts"] = outcome.attempts
-        record["worker_deaths"] = outcome.worker_deaths
         record["resumed"] = outcome.resumed
-        record["degradations"] = outcome.degradations
         record["state"] = outcome.state
         reporter.finish(outcome.outcome)
         self.store.save_job(record)
@@ -512,17 +496,10 @@ class DerivationServer:
         return 200, doc
 
     def _health(self) -> dict:
-        status = "ok"
-        if self.supervisor.degraded:
-            status = "degraded"
-        if self.draining:
-            status = "draining"
         return {
-            "status": status,
+            "status": "draining" if self.draining else "ok",
             "queue_depth": self.queue.depth,
             "inflight": len(self._inflight),
-            "respawn_budget": self.supervisor.respawn_budget,
-            "worker_deaths": self.supervisor.worker_deaths,
             "jobs": len(self._records),
         }
 

@@ -19,7 +19,7 @@ poison the cache for an unbudgeted one.
 :func:`execute_job` is the pure execution core — no queueing, retry, or
 persistence; that is :mod:`repro.serve.workers`' business.  Its returned
 body is *canonical*: machine-dependent fields (``stats``) are stripped,
-so a cached, retried, resumed, or degraded execution is byte-identical
+so a cached, retried, or resumed execution is byte-identical
 to a direct :func:`~repro.quotient.solve_quotient` call on the same
 inputs.
 """

@@ -11,7 +11,7 @@ same crash and torn-write schedules its checkpoints do, and the
       server.json             monotonic job-id sequence
       results/<fp>.json       canonical result bodies, keyed by fingerprint
       jobs/<id>.json          job records (the crash-recovery journal)
-      checkpoints/<fp>.json   solve checkpoints of killed/drained jobs
+      checkpoints/<fp>.json   solve checkpoints of budget-tripped/drained jobs
       ledger.json             the run ledger (``history --kind served``)
 
 The **index** is the artifact graph the ROADMAP asks for: each entry

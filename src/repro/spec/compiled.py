@@ -39,6 +39,7 @@ at the boundary (see ``tests/test_compiled_kernel.py`` and
 
 from __future__ import annotations
 
+import threading
 from array import array
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -396,6 +397,10 @@ class CompiledSpec:
 # the bounded compile cache
 # ----------------------------------------------------------------------
 _CACHE: OrderedDict[Specification, CompiledSpec] = OrderedDict()
+#: Held across each lookup-and-refresh and each insert-and-evict: the
+#: server's worker threads share the cache, and an eviction between
+#: ``get`` and ``move_to_end`` would make ``move_to_end`` raise KeyError.
+_CACHE_LOCK = threading.Lock()
 
 
 def compiled(spec: Specification) -> CompiledSpec:
@@ -403,25 +408,30 @@ def compiled(spec: Specification) -> CompiledSpec:
 
     Keyed on the specification itself: equality is structural, so two equal
     specs (regardless of display name) share one compiled object — safe
-    because the compiled form never exposes the name.
+    because the compiled form never exposes the name.  Safe to call from
+    any thread; a miss compiles outside the lock.
     """
-    entry = _CACHE.get(spec)
+    with _CACHE_LOCK:
+        entry = _CACHE.get(spec)
+        if entry is not None:
+            _CACHE.move_to_end(spec)
     if entry is not None:
-        _CACHE.move_to_end(spec)
         obs.add("kernel.cache_hits", 1)
         return entry
     obs.add("kernel.cache_misses", 1)
     obs.add("kernel.compile_calls", 1)
     entry = CompiledSpec(spec)
-    _CACHE[spec] = entry
-    if len(_CACHE) > CACHE_MAXSIZE:
-        _CACHE.popitem(last=False)
+    with _CACHE_LOCK:
+        _CACHE[spec] = entry
+        if len(_CACHE) > CACHE_MAXSIZE:
+            _CACHE.popitem(last=False)
     return entry
 
 
 def compiled_cache_clear() -> None:
     """Drop every cached compiled spec (testing aid)."""
-    _CACHE.clear()
+    with _CACHE_LOCK:
+        _CACHE.clear()
 
 
 def compiled_cache_info() -> dict[str, int]:

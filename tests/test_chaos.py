@@ -21,21 +21,24 @@ from repro.errors import ReproError
 class TestChaosPlan:
     def test_from_spec_parses_every_knob_kind(self):
         plan = ChaosPlan.from_spec(
-            "seed=7, p_kill=0.25, kill_at=2:5, sites=serve.job"
+            "seed=7, p_raise=0.25, raise_at=2:5, sites=serve.job"
         )
         assert plan.seed == 7
-        assert plan.p_kill == 0.25
-        assert plan.kill_at == (2, 5)
+        assert plan.p_raise == 0.25
+        assert plan.raise_at == (2, 5)
         assert plan.sites == ("serve.job",)
 
     def test_from_spec_rejects_unknown_keys(self):
         with pytest.raises(ReproError, match="unknown chaos spec key"):
-            ChaosPlan.from_spec("p_kil=0.5")
+            ChaosPlan.from_spec("p_rase=0.5")
 
-    @pytest.mark.parametrize("spec", ["p_dup=0.1", "sites=worker.task"])
+    @pytest.mark.parametrize(
+        "spec", ["p_dup=0.1", "sites=worker.task", "p_kill=0.1", "hang_at=1"]
+    )
     def test_from_spec_rejects_removed_knobs_and_sites(self, spec):
         """Specs written for the removed pool-worker and executor-result
-        sites fail loudly instead of silently injecting nothing."""
+        sites, or the removed served-job kill and hang faults, fail
+        loudly instead of silently injecting nothing."""
         from repro.chaos.plan import ChaosSpecError
 
         with pytest.raises(ChaosSpecError):
@@ -43,37 +46,37 @@ class TestChaosPlan:
 
     def test_from_spec_rejects_malformed_entries(self):
         with pytest.raises(ReproError, match="not key=value"):
-            ChaosPlan.from_spec("p_kill")
+            ChaosPlan.from_spec("p_raise")
         with pytest.raises(ReproError, match="cannot parse"):
-            ChaosPlan.from_spec("kill_at=two")
+            ChaosPlan.from_spec("raise_at=two")
 
     def test_validation_rejects_bad_values(self):
         with pytest.raises(ReproError, match="probability"):
-            ChaosPlan(p_kill=1.5)
+            ChaosPlan(p_raise=1.5)
         with pytest.raises(ReproError, match="non-negative"):
-            ChaosPlan(kill_at=(-1,))
+            ChaosPlan(raise_at=(-1,))
 
     def test_explicit_indices_fire_exactly(self):
-        plan = ChaosPlan(kill_at=(1, 3))
-        assert [plan.kill_worker(n) for n in range(5)] == [
+        plan = ChaosPlan(raise_at=(1, 3))
+        assert [plan.raise_in_worker(n) for n in range(5)] == [
             False, True, False, True, False,
         ]
 
     def test_probabilistic_decisions_are_deterministic(self):
-        a = ChaosPlan(seed=42, p_kill=0.5)
-        b = ChaosPlan(seed=42, p_kill=0.5)
-        decisions = [a.kill_worker(n) for n in range(64)]
-        assert decisions == [b.kill_worker(n) for n in range(64)]
+        a = ChaosPlan(seed=42, p_raise=0.5)
+        b = ChaosPlan(seed=42, p_raise=0.5)
+        decisions = [a.raise_in_worker(n) for n in range(64)]
+        assert decisions == [b.raise_in_worker(n) for n in range(64)]
         assert any(decisions) and not all(decisions)
         # a different seed draws a different schedule
-        c = ChaosPlan(seed=43, p_kill=0.5)
-        assert decisions != [c.kill_worker(n) for n in range(64)]
+        c = ChaosPlan(seed=43, p_raise=0.5)
+        assert decisions != [c.raise_in_worker(n) for n in range(64)]
 
     def test_sites_draw_independent_decisions(self):
-        plan = ChaosPlan(seed=1, p_kill=0.5, p_hang=0.5)
-        kills = [plan.kill_worker(n) for n in range(64)]
-        hangs = [plan.hang_worker(n) for n in range(64)]
-        assert kills != hangs
+        plan = ChaosPlan(seed=1, p_raise=0.5, p_read_error=0.5)
+        raises = [plan.raise_in_worker(n) for n in range(64)]
+        read_errors = [plan.store_read_fault(n) for n in range(64)]
+        assert raises != read_errors
 
     def test_store_write_fault_precedence_and_kinds(self):
         plan = ChaosPlan(
@@ -87,7 +90,7 @@ class TestChaosPlan:
     def test_plan_is_picklable(self):
         import pickle
 
-        plan = ChaosPlan.from_spec("seed=3,p_kill=0.1,hang_at=1:2")
+        plan = ChaosPlan.from_spec("seed=3,p_raise=0.1,read_error_at=1:2")
         assert pickle.loads(pickle.dumps(plan)) == plan
 
 
@@ -120,7 +123,7 @@ class TestActivation:
         assert chaos.active() is None
 
     def test_use_chaos_scopes_and_restores(self):
-        plan = ChaosPlan(kill_at=(0,))
+        plan = ChaosPlan(raise_at=(0,))
         with chaos.use_chaos(plan) as state:
             assert chaos.active() is state
             assert state.plan is plan
@@ -300,7 +303,7 @@ class TestSiteFilter:
 
     def test_from_spec_parses_colon_separated_site_lists(self):
         plan = ChaosPlan.from_spec(
-            "seed=3, p_kill=0.5, sites=serve.job:store.write"
+            "seed=3, p_raise=0.5, sites=serve.job:store.write"
         )
         assert plan.sites == ("serve.job", "store.write")
 
@@ -324,13 +327,13 @@ class TestSiteFilter:
         # faults armed at index 0 for two sites; only store.write enabled
         state = ChaosState(
             ChaosPlan(
-                kill_at=(0,), write_enospc_at=(0,), sites=("store.write",)
+                raise_at=(0,), write_enospc_at=(0,), sites=("store.write",)
             )
         )
         with obs.use_collector() as collector:
             # the filtered-out seam is an exact no-op ...
-            assert state.serve_job_fault() is None
-            assert state.serve_job_fault() is None
+            assert state.serve_job_fault() is False
+            assert state.serve_job_fault() is False
             # ... its occurrence counter never advanced ...
             assert state.next_index("serve.job") == 0
             # ... and the enabled site's schedule is undisturbed
@@ -341,18 +344,14 @@ class TestSiteFilter:
         assert not any("serve.job" in key for key in counters)
 
     def test_serve_job_fault_kinds_and_accounting(self):
-        state = ChaosState(
-            ChaosPlan(kill_at=(0,), hang_at=(1,), raise_at=(2,))
-        )
+        state = ChaosState(ChaosPlan(raise_at=(0, 2)))
         with obs.use_collector() as collector:
-            assert state.serve_job_fault() == "kill"
-            assert state.serve_job_fault() == "hang"
-            assert state.serve_job_fault() == "raise"
-            assert state.serve_job_fault() is None
+            assert [state.serve_job_fault() for _ in range(4)] == [
+                True, False, True, False,
+            ]
         counters = collector.snapshot().counters
-        assert counters["chaos.injected.serve.job.kill"] == 1
-        assert counters["chaos.injected.serve.job.hang"] == 1
-        assert counters["chaos.injected.serve.job.raise"] == 1
+        assert counters["chaos.injected"] == 2
+        assert counters["chaos.injected.serve.job.raise"] == 2
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ For a seeded :class:`~repro.chaos.ChaosPlan` that makes store I/O hit
 interrupted mid-run, checkpointed through the faulty store, reloaded and
 resumed must equal the uninterrupted fault-free run in every observable
 output (converter, ``f``, phase records, verification verdict).  The
-served-job faults (``serve.job`` kill / hang / raise) are pinned end to
+served-job fault (``serve.job`` raise) is pinned end to
 end by ``tests/test_serve_differential.py``.
 """
 

@@ -17,7 +17,8 @@ Coverage:
   violation, pairs explored);
 * the compiled spec's memoized analyses (λ*, τ*, sinks, acceptance menus,
   ψ) decoded against the labeled graph functions;
-* compile-cache behaviour (LRU bound, structural sharing, obs counters);
+* compile-cache behaviour (LRU bound, structural sharing, obs counters,
+  lookups racing evictions on more threads than cores);
 * byte-identical regeneration of the committed SEC7 benchmark reports.
 
 Hypothesis example counts across the differential tests sum to well over
@@ -38,7 +39,12 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.compose import compose, compose_many
-from repro.quotient import solve_quotient
+from repro.quotient import QuotientProblem, solve_quotient
+from repro.quotient.kernel import (
+    PROBLEM_CACHE_MAXSIZE,
+    compiled_problem,
+    problem_cache_clear,
+)
 from repro.satisfy import satisfies_progress, satisfies_safety
 from repro.spec import (
     CompiledSpec,
@@ -364,6 +370,53 @@ class TestCompileCache:
     def test_compiled_spec_exported(self):
         spec = random_spec(n_states=3, events=["a"], seed=0)
         assert isinstance(compiled(spec), CompiledSpec)
+
+    def test_lookups_racing_evictions_on_many_threads(self):
+        """More threads than cores draw from more keys than either cache
+        holds, so lookups race other threads' evictions; every call must
+        still return the compiled form of its own key."""
+        problems = list(dict.fromkeys(
+            QuotientProblem.build(service, component, internal)
+            for service, component, internal, _ in (
+                random_quotient_instance(seed=seed) for seed in range(200)
+            )
+        ))
+        specs = list(dict.fromkeys(
+            spec for p in problems for spec in (p.service, p.component)
+        ))
+        assert len(specs) > CACHE_MAXSIZE
+        assert len(problems) > PROBLEM_CACHE_MAXSIZE
+        compiled_cache_clear()
+        problem_cache_clear()
+        errors: list[str] = []
+
+        def hammer(seed: int) -> None:
+            rng = random.Random(seed)
+            try:
+                for _ in range(2000):
+                    spec = rng.choice(specs)
+                    assert compiled(spec).source == spec
+                    problem = rng.choice(problems)
+                    assert compiled_problem(problem).problem == problem
+            except Exception as exc:  # noqa: BLE001 — reported by the assert
+                errors.append(f"{type(exc).__name__}: {exc}")
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(seed,))
+                for seed in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not errors, f"{len(errors)} of 8 threads failed: {errors}"
+        assert compiled_cache_info()["size"] <= CACHE_MAXSIZE
 
 
 # ----------------------------------------------------------------------

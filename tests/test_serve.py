@@ -33,7 +33,7 @@ from repro.serve import (
     WorkerSupervisor,
     execute_job,
 )
-from repro.serve.workers import DRAIN_REASON, KILL_CHARGE_SPAN
+from repro.serve.workers import DRAIN_REASON
 from repro.spec import random_quotient_instance
 
 
@@ -57,7 +57,6 @@ def canonical_body(seed: int) -> dict:
     result = solve_quotient(service, component, int_events=internal)
     body = result.to_json_dict()
     body.pop("stats", None)
-    body.pop("degradations", None)
     return body
 
 
@@ -268,23 +267,7 @@ class TestWorkerSupervisor:
         outcome = self._run(21, ResultStore(str(tmp_path)), supervisor)
         assert outcome.state == "done"
         assert outcome.body == canonical_body(21)
-        assert outcome.attempts == 1 and outcome.worker_deaths == 0
-
-    def test_kill_charge_span_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KILL_CHARGE_SPAN", "1")
-        assert WorkerSupervisor(sleep=lambda s: None).kill_charge_span == 1
-        # an explicit argument wins over the environment
-        sup = WorkerSupervisor(sleep=lambda s: None, kill_charge_span=5)
-        assert sup.kill_charge_span == 5
-        for bad in ("0", "-3", "many"):
-            monkeypatch.setenv("REPRO_KILL_CHARGE_SPAN", bad)
-            with pytest.raises(ReproError):
-                WorkerSupervisor(sleep=lambda s: None)
-        monkeypatch.delenv("REPRO_KILL_CHARGE_SPAN")
-        assert (
-            WorkerSupervisor(sleep=lambda s: None).kill_charge_span
-            == KILL_CHARGE_SPAN
-        )
+        assert outcome.attempts == 1
 
     def test_injected_raise_is_retried_transparently(self, tmp_path):
         collector = ThreadSafeCollector()
@@ -293,45 +276,11 @@ class TestWorkerSupervisor:
         with obs.use_collector(collector), use_chaos(plan):
             outcome = self._run(22, ResultStore(str(tmp_path)), supervisor)
         assert outcome.state == "done"
+        assert outcome.attempts == 2
         assert outcome.body == canonical_body(22)
         assert collector.counters["chaos.injected.serve.job.raise"] == 1
         assert collector.counters["retry.retries"] == 1
         assert collector.counters["retry.recoveries"] == 1
-
-    def test_kill_checkpoints_and_resumes(self, tmp_path):
-        collector = ThreadSafeCollector()
-        plan = ChaosPlan(seed=2, kill_at=(0,), sites=("serve.job",))
-        supervisor = WorkerSupervisor(sleep=lambda s: None,
-                                      kill_charge_span=2)
-        with obs.use_collector(collector), use_chaos(plan):
-            outcome = self._run(23, ResultStore(str(tmp_path)), supervisor)
-        assert outcome.state == "done"
-        assert outcome.worker_deaths == 1
-        assert outcome.resumed and outcome.checkpointed
-        assert outcome.body == canonical_body(23)
-        assert collector.counters["serve.worker.deaths"] == 1
-        assert collector.counters["serve.worker.respawns"] == 1
-        assert collector.counters["serve.jobs.resumed"] == 1
-
-    def test_respawn_exhaustion_degrades_but_stays_exact(self, tmp_path):
-        store = ResultStore(str(tmp_path))
-        plan = ChaosPlan(seed=3, kill_at=(0,), sites=("serve.job",))
-        supervisor = WorkerSupervisor(respawn_budget=0,
-                                      sleep=lambda s: None,
-                                      kill_charge_span=2)
-        with use_chaos(plan):
-            outcome = self._run(24, store, supervisor)
-            assert outcome.state == "done"
-            assert outcome.body == canonical_body(24)
-            assert supervisor.degraded
-            assert any("respawn budget" in d["reason"]
-                       for d in outcome.degradations)
-            # degraded mode: chaos is no longer consulted, later jobs
-            # drain in-process and carry the degradation record
-            later = self._run(25, store, supervisor)
-        assert later.state == "done"
-        assert later.body == canonical_body(25)
-        assert any("degraded" in d["reason"] for d in later.degradations)
 
     def test_budget_trip_checkpoints_then_resubmit_resumes(self, tmp_path):
         store = ResultStore(str(tmp_path))
@@ -341,9 +290,12 @@ class TestWorkerSupervisor:
         assert first.outcome == "partial-budget"
         assert first.checkpointed
         # an unbudgeted resubmission of the same fingerprint resumes
-        second = self._run(27, store, supervisor)
+        collector = ThreadSafeCollector()
+        with obs.use_collector(collector):
+            second = self._run(27, store, supervisor)
         assert second.state == "done" and second.resumed
         assert second.body == canonical_body(27)
+        assert collector.counters["serve.jobs.resumed"] == 1
 
     def test_drain_interrupt_parks_job_as_recoverable(self, tmp_path):
         store = ResultStore(str(tmp_path))
@@ -553,7 +505,8 @@ end
 
 
 class TestServeCli:
-    """``submit`` and ``status`` against a live server."""
+    """``serve``'s argument checks; ``submit`` and ``status`` against a
+    live server."""
 
     @pytest.fixture
     def dsl(self, tmp_path):
@@ -600,6 +553,18 @@ class TestServeCli:
         server, _ = live_server()
         assert self._resilience(dsl, server.port, "--severities", "1,x") == 2
         assert "bad --severities" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--workers", "0"), ("--capacity", "0"), ("--capacity", "-3")],
+    )
+    def test_serve_rejects_non_positive_sizes(
+        self, tmp_path, capsys, flag, value
+    ):
+        store = tmp_path / "store"
+        assert main(["serve", "--store", str(store), flag, value]) == 2
+        assert f"{flag} must be >= 1" in capsys.readouterr().err
+        assert not store.exists()
 
     def test_status_tail(self, live_server, dsl, capsys):
         server, client = live_server()

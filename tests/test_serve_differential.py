@@ -1,19 +1,20 @@
 """Differential acceptance tests for the derivation server.
 
 The serving contract: no matter *how* a job executed — fresh, retried
-after a transient fault, resumed after a worker death, replayed from a
-cache hit, or drained sequentially in degraded mode — its result body is
+after a transient fault, resumed from a checkpoint, replayed from a
+cache hit, or re-run after the server was killed — its result body is
 byte-identical to a direct :func:`~repro.quotient.solve_quotient` call
 on the same inputs.  These tests sweep that claim over dozens of random
 instances under several distinct ``REPRO_CHAOS`` schedules, and pin the
-overload/drain story end to end (bounded queue, deterministic
-backpressure, SIGTERM mid-load, restart-and-resume: an accepted job is
-never lost).
+overload/crash story end to end (bounded queue, deterministic
+backpressure, SIGTERM mid-load, SIGKILL mid-job, restart-and-resume: an
+accepted job is never lost).
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import functools
 import json
 import os
@@ -21,6 +22,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -29,6 +31,7 @@ from repro.chaos import ChaosPlan, use_chaos
 from repro.errors import ServeError
 from repro.io.json_codec import spec_to_dict
 from repro.obs.core import ThreadSafeCollector
+from repro.obs.ledger import Ledger
 from repro.quotient.solve import solve_quotient
 from repro.serve import (
     DerivationServer,
@@ -38,6 +41,8 @@ from repro.serve import (
     WorkerSupervisor,
 )
 from repro.spec import random_quotient_instance
+
+from .test_compiled_kernel import _relay
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -63,7 +68,6 @@ def canonical(seed: int) -> str:
     result = solve_quotient(service, component, int_events=internal)
     body = result.to_json_dict()
     body.pop("stats", None)
-    body.pop("degradations", None)
     return json.dumps(body, sort_keys=True)
 
 
@@ -72,23 +76,21 @@ def served(outcome) -> str:
     return json.dumps(outcome.body, sort_keys=True)
 
 
-#: Distinct fault schedules the byte-identity sweep runs under.  Each
-#: targets the serve execution path a different way; the torn-store one
-#: attacks the persistence layer underneath it instead.
+#: Distinct fault schedules the byte-identity sweep runs under: one
+#: attacks the serve execution path, one the persistence layer
+#: underneath it, and one both at once.
 SCHEDULES = {
-    "kills": ChaosPlan(seed=101, p_kill=0.65, sites=("serve.job",)),
-    "hangs": ChaosPlan(seed=202, p_hang=0.55, sites=("serve.job",)),
     "raises": ChaosPlan(seed=303, p_raise=0.7, sites=("serve.job",)),
     "mixed": ChaosPlan(
-        seed=404, p_kill=0.35, p_hang=0.2, p_raise=0.3,
-        sites=("serve.job",),
+        seed=404, p_raise=0.3, p_write_partial=0.3,
+        sites=("serve.job", "store.write"),
     ),
     "torn-store": ChaosPlan(
         seed=505, p_write_partial=0.3, sites=("store.write",)
     ),
 }
 
-#: Instance seeds each schedule sweeps (5 schedules x 13 = 65 problems).
+#: Instance seeds each schedule sweeps (3 schedules x 13 = 39 problems).
 SWEEP_SEEDS = tuple(range(60, 73))
 
 
@@ -96,9 +98,7 @@ SWEEP_SEEDS = tuple(range(60, 73))
 def test_served_solves_are_byte_identical_under_chaos(name, tmp_path):
     plan = SCHEDULES[name]
     collector = ThreadSafeCollector()
-    supervisor = WorkerSupervisor(
-        respawn_budget=10_000, sleep=lambda s: None, kill_charge_span=4
-    )
+    supervisor = WorkerSupervisor(sleep=lambda s: None)
     with obs.use_collector(collector), use_chaos(plan):
         for seed in SWEEP_SEEDS:
             store = ResultStore(str(tmp_path / name / str(seed)))
@@ -135,10 +135,10 @@ def test_served_solves_are_byte_identical_under_chaos(name, tmp_path):
         if k.startswith("chaos.injected.")
     }
     assert sum(injected.values()) > 0, f"schedule {name} injected nothing"
+    # ... at every site it names ...
+    for site in plan.sites:
+        assert any(k.startswith(f"chaos.injected.{site}") for k in injected)
     # ... and the recovery machinery it targets actually engaged
-    if name in ("kills", "hangs", "mixed"):
-        assert supervisor.worker_deaths > 0
-        assert collector.counters["serve.jobs.resumed"] > 0
     if name in ("raises", "mixed"):
         assert collector.counters["retry.recoveries"] > 0
     assert collector.counters["serve.jobs.completed"] == len(SWEEP_SEEDS)
@@ -160,28 +160,6 @@ def test_cache_hit_and_joined_submissions_are_byte_identical(tmp_path):
         status, hit = server._submit(doc)
         assert status == 200 and hit["job"]["cache"] == "hit"
         assert json.dumps(hit["result"], sort_keys=True) == canonical(seed)
-
-
-def test_degraded_drain_is_byte_identical(tmp_path):
-    """Respawn exhaustion degrades execution, never the answer."""
-    plan = ChaosPlan(seed=7, kill_at=(0,), sites=("serve.job",))
-    store = ResultStore(str(tmp_path))
-    # span 1: the kill always lands at the first charge boundary
-    supervisor = WorkerSupervisor(
-        respawn_budget=0, sleep=lambda s: None, kill_charge_span=1
-    )
-    with use_chaos(plan):
-        for position, seed in enumerate(SWEEP_SEEDS[:6]):
-            outcome = supervisor.run_job(
-                JobRequest.from_json_dict(solve_doc(seed)), store
-            )
-            assert served(outcome) == canonical(seed)
-            assert outcome.degradations, (
-                "degraded executions must say so in the record"
-            )
-            if position == 0:
-                assert outcome.worker_deaths == 1
-    assert supervisor.degraded
 
 
 def test_resume_checkpoint_crosses_server_lives(tmp_path):
@@ -277,6 +255,50 @@ class TestOverload:
             thread.join(30)
 
 
+def _serve_process(store_root: str) -> subprocess.Popen:
+    """A real ``repro serve`` process with one worker, on a free port."""
+    env = {**os.environ, "PYTHONPATH": "src"}
+    env.pop("REPRO_CHAOS", None)
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--store", store_root,
+         "--port", "0", "--capacity", "16", "--workers", "1"],
+        cwd=REPO_ROOT, env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True,
+    )
+
+
+@contextlib.contextmanager
+def _second_life(store_root: str):
+    """An in-process server over a store a killed server left behind."""
+    server = DerivationServer(store_root, capacity=16, workers=2)
+    ready = threading.Event()
+    thread = threading.Thread(
+        target=lambda: asyncio.run(server.run(ready=lambda s: ready.set())),
+        daemon=True,
+    )
+    thread.start()
+    assert ready.wait(10)
+    client = ServeClient("127.0.0.1", server.port)
+    try:
+        yield server, client
+    finally:
+        try:
+            client.shutdown()
+        except (ServeError, OSError):
+            pass
+        thread.join(30)
+    assert not thread.is_alive()
+
+
+def _assert_served_in_ledger(store: ResultStore, job_ids) -> None:
+    served_fingerprints = {
+        r.fingerprint for r in Ledger(store.ledger_path).read()
+        if r.kind == "served"
+    }
+    for job_id in job_ids:
+        assert store.load_job(job_id)["fingerprint"] in served_fingerprints
+
+
 def test_sigterm_under_load_then_restart_resumes_all(tmp_path):
     """Kill a loaded server with SIGTERM; a restart finishes every job.
 
@@ -286,14 +308,7 @@ def test_sigterm_under_load_then_restart_resumes_all(tmp_path):
     reach ``done`` with a body byte-identical to the direct solve.
     """
     store_root = str(tmp_path / "store")
-    env = {**os.environ, "PYTHONPATH": "src"}
-    env.pop("REPRO_CHAOS", None)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve", "--store", store_root,
-         "--port", "0", "--capacity", "16", "--workers", "1"],
-        cwd=REPO_ROOT, env=env, stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE, text=True,
-    )
+    proc = _serve_process(store_root)
     try:
         serving = json.loads(proc.stdout.readline())
         client = ServeClient("127.0.0.1", serving["serving"]["port"])
@@ -325,17 +340,7 @@ def test_sigterm_under_load_then_restart_resumes_all(tmp_path):
     assert unfinished, "SIGTERM landed after all jobs finished; no drain " \
         "was exercised — raise the load"
     # the drain flushed ledger records for whatever did complete
-    # second life: in-process server over the same store
-    server = DerivationServer(store_root, capacity=16, workers=2)
-    ready = threading.Event()
-    thread = threading.Thread(
-        target=lambda: asyncio.run(server.run(ready=lambda s: ready.set())),
-        daemon=True,
-    )
-    thread.start()
-    assert ready.wait(10)
-    client = ServeClient("127.0.0.1", server.port)
-    try:
+    with _second_life(store_root) as (server, client):
         assert server.collector is not None
         for seed, job_id in job_ids.items():
             final = client.wait(job_id, timeout_s=120)
@@ -355,18 +360,77 @@ def test_sigterm_under_load_then_restart_resumes_all(tmp_path):
             record = client.job(job_ids[seed])["job"]
             if first_life[seed] == "interrupted":
                 assert record["resumed"]
-    finally:
-        try:
-            client.shutdown()
-        except (ServeError, OSError):
-            pass
-        thread.join(30)
     # the ledger saw every completed job across both lives
-    from repro.obs.ledger import Ledger
+    _assert_served_in_ledger(store, job_ids.values())
 
-    records = Ledger(store.ledger_path).read()
-    served_fingerprints = {
-        r.fingerprint for r in records if r.kind == "served"
+
+def test_sigkill_mid_job_then_restart_finishes_all(tmp_path):
+    """SIGKILL a server mid-job; a restart finishes every job.
+
+    Workers are threads, so the real crash is the whole process dying,
+    with no drain.  The killed job's record still reads ``running`` and
+    it left no checkpoint, so the next server life re-runs it from its
+    start; the queued jobs behind it are recovered untouched.  Every
+    accepted job must reach ``done`` byte-identical to the direct solve.
+    """
+    service, component = _relay(5)
+    relay_doc = {
+        "kind": "solve",
+        "payload": {"service": spec_to_dict(service),
+                    "component": spec_to_dict(component)},
     }
-    for seed, job_id in job_ids.items():
-        assert store.load_job(job_id)["fingerprint"] in served_fingerprints
+    relay_body = solve_quotient(service, component).to_json_dict()
+    relay_body.pop("stats", None)
+    store_root = str(tmp_path / "store")
+    store = ResultStore(store_root)
+    proc = _serve_process(store_root)
+    try:
+        serving = json.loads(proc.stdout.readline())
+        client = ServeClient("127.0.0.1", serving["serving"]["port"])
+        status, doc = client.submit(relay_doc)
+        assert status == 202
+        relay_id = doc["job"]["job_id"]
+        expected = {relay_id: json.dumps(relay_body, sort_keys=True)}
+        for seed in (110, 111, 112, 113):
+            status, doc = client.submit(solve_doc(seed))
+            assert status == 202
+            expected[doc["job"]["job_id"]] = canonical(seed)
+        # the server marks a job running before it persists that state,
+        # and SIGKILL leaves only what is on disk: wait for both
+        deadline = time.monotonic() + 60
+        for state_of in (
+            lambda: client.job(relay_id)["job"]["state"],
+            lambda: store.load_job(relay_id)["state"],
+        ):
+            state = state_of()
+            while state == "queued" and time.monotonic() < deadline:
+                time.sleep(0.05)
+                state = state_of()
+            if state != "running":
+                pytest.fail(
+                    f"the k=5 relay job read {state!r}, never 'running' "
+                    f"at the kill; no mid-job crash was exercised"
+                )
+        proc.send_signal(signal.SIGKILL)
+        proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == -signal.SIGKILL
+    first_life = {
+        job_id: store.load_job(job_id)["state"] for job_id in expected
+    }
+    assert first_life == {
+        job_id: "running" if job_id == relay_id else "queued"
+        for job_id in expected
+    }
+    with _second_life(store_root) as (server, client):
+        for job_id, body in expected.items():
+            final = client.wait(job_id, timeout_s=120)
+            assert final["job"]["state"] == "done", final["job"]
+            assert json.dumps(final["result"], sort_keys=True) == body
+        assert server.collector is not None
+        counters = server.collector.snapshot().counters
+        assert counters["serve.jobs.recovered"] == len(expected)
+    _assert_served_in_ledger(store, expected)
