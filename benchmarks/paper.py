@@ -289,34 +289,41 @@ def _ledger_baseline(path: str) -> tuple[dict | None, list[str]]:
     return nested, []
 
 
-def _is_ledger_file(payload: object) -> bool:
-    return (
-        isinstance(payload, dict)
-        and isinstance(payload.get("body"), dict)
-        and payload["body"].get("kind") == "ledger"
-    )
+def _is_ledger_file(path: str) -> bool:
+    """Whether *path* reads as a run ledger (JSON lines or envelope)."""
+    _ensure_import_paths()
+    from repro.errors import PersistError
+    from repro.obs.ledger import Ledger
+
+    if not os.path.exists(path):
+        return False
+    try:
+        Ledger(path).read()
+    except PersistError:
+        return False
+    return True
 
 
 def perf_gate(path: str) -> list[str]:
     """Regressions of the deterministic SEC7 work counters ([] when clean).
 
     *path* is either a committed ``BENCH_quotient.json`` or a run ledger
-    (the envelope is auto-detected); with a ledger, the newest ``bench``
-    record is the baseline.  Fails when a fresh counter *exceeds* its
-    baseline (the algorithm started doing more work); a fresh counter
-    below the baseline is an improvement and only asks for a refresh.
+    (auto-detected); with a ledger, the newest ``bench`` record is the
+    baseline.  Fails when a fresh counter *exceeds* its baseline (the
+    algorithm started doing more work); a fresh counter below the
+    baseline is an improvement and only asks for a refresh.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError) as exc:
-        return [f"cannot read baseline {path!r}: {exc}"]
     problems: list[str] = []
-    if _is_ledger_file(payload):
+    if _is_ledger_file(path):
         baseline_by_exp, problems = _ledger_baseline(path)
         if baseline_by_exp is None:
             return problems
     else:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                payload = json.load(fh)
+        except (OSError, ValueError) as exc:
+            return [f"cannot read baseline {path!r}: {exc}"]
         committed = payload.get("experiments", {})
         baseline_by_exp = {
             exp_id: entry.get("metrics")

@@ -116,7 +116,8 @@ class ChaosPlan:
     * ``write_partial_at`` / ``p_write_partial`` — the write *appears*
       to succeed but leaves a torn (truncated) primary file, after
       rotating the previous good snapshot to ``.prev`` — the crash mode
-      the store's fallback machinery exists for.
+      the store's fallback machinery exists for.  A run-ledger append
+      has no ``.prev``: its torn line fails the attempt instead.
     * ``read_error_at`` / ``p_read_error`` — the read raises
       ``OSError(EIO)``.
     """

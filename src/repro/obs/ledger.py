@@ -9,14 +9,23 @@ SHA-256 fingerprints the checkpoint layer computes
 comparable across sessions — and the future quotient-as-a-service layer
 gets its cache index for free.
 
-Unlike the rest of :mod:`repro.obs`, this module deliberately builds on
-:mod:`repro.persist.store` (one-directional — persist never imports it):
-the ledger file is the same atomic, integrity-checked envelope as a
-checkpoint (tmp file + fsync + ``os.replace``, previous-good ``.prev``
-rotation), so a crash mid-append can never tear the ledger — the old
-contents survive intact.  Appends rewrite the whole document; "append
-only" is a semantic property (existing records are never mutated, only
-``gc`` drops whole records).
+The file is JSON lines (ledger schema 2): a header line, then one line
+per record, ``{"record": {...}, "sha256": <hex of the canonical
+record>}``.  An append costs O(1) in the ledger's size: it reads only
+the file's tail to find the last run id, writes one line and fsyncs it
+before returning, under ``DEFAULT_STORE_RETRY`` and the ``store.write``
+chaos seam of :mod:`repro.persist.store` (this module builds on persist,
+never the other way round).  A failed attempt truncates the file back
+to its length before the attempt, so a crash can tear only the last
+line — a record that was never acknowledged.  Readers drop a torn last
+line, and skip (counting ``ledger.corrupt_skipped``) any inner record
+whose hash does not match.  ``gc`` rewrites the whole file atomically
+(tmp file + fsync + ``os.replace``); it always keeps the newest record,
+so the next id, one past the last record's, is never reused.
+
+A ledger written in the schema-1 format — one integrity envelope with
+``.prev`` rotation, rewritten per append — reads back as the same
+records, and its first append or ``gc`` converts it atomically.
 
 Record determinism policy (mirrors the bench output hygiene rule): the
 ``work`` counters are deterministic exploration counts and are what
@@ -26,12 +35,24 @@ machine-dependent, live only in the JSON, and are **never diffed**.
 
 from __future__ import annotations
 
+import errno
+import hashlib
+import json
+import os
+import tempfile
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Mapping
+from typing import IO, Any, Iterable, Mapping
 
+from ..chaos import DEFAULT_STORE_RETRY
 from ..errors import PersistError
-from ..persist.store import read_envelope, write_envelope
+from ..persist.store import (
+    PREV_SUFFIX,
+    _canonical_body,
+    injected_write_fault,
+    read_bytes,
+    read_envelope,
+)
 from .core import add as _count
 
 __all__ = [
@@ -44,8 +65,19 @@ __all__ = [
     "flatten_work",
 ]
 
-#: Version of the ledger document body.
-LEDGER_SCHEMA = 1
+#: Version of the ledger file: 1 was one envelope rewritten per append,
+#: 2 is JSON lines (see the module docstring).
+LEDGER_SCHEMA = 2
+
+#: The first line of every schema-2 ledger.
+_HEADER = (
+    json.dumps({"kind": "ledger", "schema": LEDGER_SCHEMA}, sort_keys=True)
+    + "\n"
+).encode("utf-8")
+
+#: Bytes an append reads from the ledger's end at first; the window
+#: doubles until it holds the last complete line.
+_TAIL_WINDOW = 4096
 
 #: Version of one run record.
 RECORD_SCHEMA = 1
@@ -180,8 +212,86 @@ def flatten_work(counters: Mapping[str, Any], prefix: str = "") -> dict[str, flo
 
 
 # ----------------------------------------------------------------------
-# the ledger document
+# the ledger file
 # ----------------------------------------------------------------------
+def _record_line(doc: dict) -> bytes:
+    digest = hashlib.sha256(_canonical_body(doc)).hexdigest()
+    line = json.dumps({"record": doc, "sha256": digest}, sort_keys=True)
+    return (line + "\n").encode("utf-8")
+
+
+def _line_record(line: bytes) -> dict | None:
+    """The record document of one complete line; ``None`` if corrupt."""
+    try:
+        doc = json.loads(line)
+    except ValueError:
+        return None
+    if not (
+        isinstance(doc, dict)
+        and set(doc) == {"record", "sha256"}
+        and isinstance(doc["record"], dict)
+    ):
+        return None
+    digest = hashlib.sha256(_canonical_body(doc["record"])).hexdigest()
+    return doc["record"] if digest == doc["sha256"] else None
+
+
+def _is_lines(head: bytes) -> bool:
+    """Whether a file starting with *head* is a schema-2 ledger.
+
+    A proper prefix of the header (an empty file included) is a torn
+    first append: a schema-2 ledger with no records.
+    """
+    return _HEADER.startswith(head[: len(_HEADER)])
+
+
+def _tail(fh: IO[bytes]) -> tuple[int, bytes]:
+    """``(end, last)`` of a schema-2 ledger open for reading.
+
+    *end* is the length of the file's complete lines (0 when not even
+    the header is whole); *last* is the last complete line, newline
+    included.  Reads windows from the end, doubling until the window
+    holds that whole line.
+    """
+    size = fh.seek(0, os.SEEK_END)
+    window = _TAIL_WINDOW
+    while True:
+        start = max(0, size - window)
+        fh.seek(start)
+        chunk = fh.read(size - start)
+        last_nl = chunk.rfind(b"\n")
+        if last_nl < 0 and start == 0:
+            return 0, b""
+        if last_nl >= 0:
+            prev_nl = chunk.rfind(b"\n", 0, last_nl)
+            if prev_nl >= 0 or start == 0:
+                return start + last_nl + 1, chunk[prev_nl + 1 : last_nl + 1]
+        window *= 2
+
+
+def _replace_raw(path: str, data: bytes) -> None:
+    """One atomic rewrite attempt: tmp file + fsync + ``os.replace``."""
+    if injected_write_fault(path) == "partial":
+        # a torn tmp file never replaces the ledger
+        raise OSError(errno.EIO, f"chaos: injected torn write of {path!r}")
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp_path = tempfile.mkstemp(
+        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
+    )
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp_path, path)
+    except OSError:
+        try:
+            os.unlink(tmp_path)
+        except OSError:
+            pass
+        raise
+
+
 class Ledger:
     """An append-only run ledger at *path* (created on first append)."""
 
@@ -189,32 +299,51 @@ class Ledger:
         self.path = path
 
     # -- reading -------------------------------------------------------
-    def _body(self) -> dict:
+    def _documents(self) -> list[dict]:
+        """The readable record documents, oldest first."""
         try:
-            body = read_envelope(self.path, kind="ledger")
-        except PersistError as exc:
-            if "no ledger at" in str(exc):
-                return {"kind": "ledger", "schema": LEDGER_SCHEMA,
-                        "next_id": 1, "entries": []}
-            raise
+            data = read_bytes(self.path, kind="ledger")
+        except FileNotFoundError:
+            # a schema-1 crash between its two renames leaves only .prev
+            if not os.path.exists(self.path + PREV_SUFFIX):
+                return []
+            return self._legacy_documents()
+        if not _is_lines(data):
+            return self._legacy_documents()
+        documents = []
+        corrupt = 0
+        # lines[0] is the header; the last piece is b"" or a torn line
+        for line in data.split(b"\n")[1:-1]:
+            doc = _line_record(line)
+            if doc is None:
+                corrupt += 1
+            else:
+                documents.append(doc)
+        if corrupt:
+            _count("ledger.corrupt_skipped", corrupt)
+        return documents
+
+    def _legacy_documents(self) -> list[dict]:
+        body = read_envelope(self.path, kind="ledger")
         if body.get("kind") != "ledger":
             raise PersistError(
                 f"{self.path!r} is not a ledger "
                 f"(kind {body.get('kind')!r})"
             )
-        if body.get("schema") != LEDGER_SCHEMA:
+        if body.get("schema") != 1:
             raise PersistError(
                 f"ledger {self.path!r} has unsupported schema "
-                f"{body.get('schema')!r} (this version reads {LEDGER_SCHEMA})"
+                f"{body.get('schema')!r} (this version reads 1 and "
+                f"{LEDGER_SCHEMA})"
             )
         if not isinstance(body.get("entries"), list):
             raise PersistError(f"ledger {self.path!r} entries is not a list")
-        return body
+        return body["entries"]
 
     def read(self) -> tuple[RunRecord, ...]:
         """All records, oldest first ([] when the file does not exist)."""
         return tuple(
-            RunRecord.from_json_dict(doc) for doc in self._body()["entries"]
+            RunRecord.from_json_dict(doc) for doc in self._documents()
         )
 
     def get(self, run_id: int) -> RunRecord:
@@ -241,17 +370,89 @@ class Ledger:
     def append(self, record: RunRecord) -> RunRecord:
         """Durably append *record*, assigning the next run id.
 
-        The rewrite is atomic and the previous ledger survives as
-        ``.prev`` until the next append — a simulated crash mid-append
-        leaves every existing record readable.
+        The line is fsynced before this returns.  A failed attempt
+        leaves the ledger as it found it, so every record readable
+        before stays readable, once.
         """
-        body = self._body()
-        stamped = replace(record, run_id=int(body["next_id"]))
-        body["entries"].append(stamped.to_json_dict())
-        body["next_id"] = stamped.run_id + 1
-        write_envelope(self.path, body, kind="ledger")
+        if self._is_legacy():
+            self._rewrite(self.read())
+        try:
+            with open(self.path, "a+b") as fh:
+                stamped = DEFAULT_STORE_RETRY.call(
+                    lambda: self._append_raw(fh, record),
+                    site="store.write:ledger",
+                )
+        except OSError as exc:
+            raise PersistError(
+                f"cannot write ledger {self.path!r}: {exc}"
+            ) from exc
         _count("ledger.appends", 1)
         return stamped
+
+    def _is_legacy(self) -> bool:
+        try:
+            with open(self.path, "rb") as fh:
+                return not _is_lines(fh.read(len(_HEADER)))
+        except FileNotFoundError:
+            return os.path.exists(self.path + PREV_SUFFIX)
+
+    def _append_raw(self, fh: IO[bytes], record: RunRecord) -> RunRecord:
+        """One append attempt; raises :class:`OSError` on failure."""
+        fault = injected_write_fault(self.path)
+        end, last = _tail(fh)
+        last_id = 0
+        if end and last != _HEADER:
+            doc = _line_record(last)
+            if doc is not None:
+                last_id = RunRecord.from_json_dict(doc).run_id
+            else:
+                # a corrupt last line: one past the newest readable record
+                last_id = max((r.run_id for r in self.read()), default=0)
+        stamped = replace(record, run_id=last_id + 1)
+        data = _record_line(stamped.to_json_dict())
+        if end == 0:
+            data = _HEADER + data
+        try:
+            # a torn last line was never acknowledged: cut it off
+            fh.truncate(end)
+            if fault == "partial":
+                # the write tears and the attempt fails; the truncate
+                # below removes what it left
+                fh.write(data[: len(data) // 2])
+                fh.flush()
+                raise OSError(
+                    errno.EIO, f"chaos: injected torn write of {self.path!r}"
+                )
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        except OSError:
+            try:
+                fh.truncate(end)
+            except OSError:
+                pass
+            raise
+        return stamped
+
+    def _rewrite(self, records: Iterable[RunRecord]) -> None:
+        """Atomically replace the file with *records* in schema 2."""
+        data = _HEADER + b"".join(
+            _record_line(r.to_json_dict()) for r in records
+        )
+        try:
+            DEFAULT_STORE_RETRY.call(
+                lambda: _replace_raw(self.path, data),
+                site="store.write:ledger",
+            )
+        except OSError as exc:
+            raise PersistError(
+                f"cannot write ledger {self.path!r}: {exc}"
+            ) from exc
+        try:
+            # a schema-1 ledger's previous snapshot is stale from here on
+            os.unlink(self.path + PREV_SUFFIX)
+        except FileNotFoundError:
+            pass
 
     def gc(self, *, keep: int = 5) -> int:
         """Drop all but the newest *keep* records per (fingerprint, kind).
@@ -260,8 +461,7 @@ class Ledger:
         """
         if keep < 1:
             raise ValueError(f"keep must be >= 1, got {keep!r}")
-        body = self._body()
-        records = [RunRecord.from_json_dict(doc) for doc in body["entries"]]
+        records = self.read()
         survivors_rev: list[RunRecord] = []
         seen: dict[tuple[str, str], int] = {}
         for record in reversed(records):
@@ -271,10 +471,7 @@ class Ledger:
                 survivors_rev.append(record)
         removed = len(records) - len(survivors_rev)
         if removed:
-            body["entries"] = [
-                r.to_json_dict() for r in reversed(survivors_rev)
-            ]
-            write_envelope(self.path, body, kind="ledger")
+            self._rewrite(reversed(survivors_rev))
             _count("ledger.gc_removed", removed)
         return removed
 

@@ -20,10 +20,15 @@ truncated, bit-flipped, or otherwise corrupt file raises
 ``.prev`` automatically, so one bad write costs at most one snapshot's
 worth of progress.
 
-Two document kinds share this machinery: checkpoints
-(:func:`save_checkpoint` / :func:`load_checkpoint`) and the append-only
-run ledger (:mod:`repro.obs.ledger`), which uses the generic
-:func:`write_envelope` / :func:`read_envelope` pair directly.
+Envelopes are serialized on one line by CPython's C JSON encoder
+(``json.dumps`` without ``indent``, which would select the pure-Python
+encoder — about eight times slower on a served job record).
+
+Checkpoints (:func:`save_checkpoint` / :func:`load_checkpoint`) and the
+serve layer's documents use this machinery.  The run ledger
+(:mod:`repro.obs.ledger`) is JSON lines with a hash per record; it
+reads ledgers written in this envelope format before its schema 2, and
+shares the write fault seam (:func:`injected_write_fault`).
 
 Raw file I/O additionally runs under a
 :class:`~repro.chaos.RetryPolicy` (``DEFAULT_STORE_RETRY``): a transient
@@ -51,7 +56,9 @@ from .checkpoint import Checkpoint
 
 __all__ = [
     "Store",
+    "injected_write_fault",
     "load_checkpoint",
+    "read_bytes",
     "read_envelope",
     "save_checkpoint",
     "write_envelope",
@@ -72,6 +79,22 @@ def _canonical_body(body: dict) -> bytes:
     )
 
 
+def injected_write_fault(path: str) -> str | None:
+    """The ``store.write`` chaos seam for one physical write of *path*.
+
+    Raises the injected :class:`OSError` for an ``enospc`` or ``error``
+    fault; returns ``"partial"`` when the caller must tear its write, and
+    ``None`` (one global read) when chaos is inactive.
+    """
+    state = chaos.active()
+    fault = state.store_write_fault() if state is not None else None
+    if fault == "enospc":
+        raise OSError(errno.ENOSPC, f"chaos: injected ENOSPC writing {path!r}")
+    if fault == "error":
+        raise OSError(errno.EIO, f"chaos: injected I/O error writing {path!r}")
+    return fault
+
+
 def _write_envelope_raw(path: str, envelope: dict) -> None:
     """One physical write attempt; raises :class:`OSError` on failure.
 
@@ -82,26 +105,20 @@ def _write_envelope_raw(path: str, envelope: dict) -> None:
     primary (after rotating the previous good snapshot to ``.prev``),
     which is precisely the crash state the read fallback exists for.
     """
-    state = chaos.active()
-    fault = state.store_write_fault() if state is not None else None
-    if fault == "enospc":
-        raise OSError(errno.ENOSPC, f"chaos: injected ENOSPC writing {path!r}")
-    if fault == "error":
-        raise OSError(errno.EIO, f"chaos: injected I/O error writing {path!r}")
+    fault = injected_write_fault(path)
+    text = json.dumps(envelope, sort_keys=True)
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp_path = tempfile.mkstemp(
         prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
     )
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(envelope, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
             fh.flush()
             os.fsync(fh.fileno())
         if os.path.exists(path):
             os.replace(path, path + PREV_SUFFIX)
         if fault == "partial":
-            text = json.dumps(envelope, indent=2, sort_keys=True)
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text[: max(8, len(text) // 3)])
             os.unlink(tmp_path)
@@ -148,28 +165,42 @@ def write_envelope(
     return path
 
 
-def _read_text(path: str) -> str:
+def _read_raw(path: str) -> bytes:
     """One physical read attempt; raises :class:`OSError` on failure."""
     state = chaos.active()
     if state is not None and state.store_read_fault():
         raise OSError(errno.EIO, f"chaos: injected I/O error reading {path!r}")
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return fh.read()
+
+
+def read_bytes(path: str, *, kind: str = "document") -> bytes:
+    """The bytes at *path*, read under the ``store.read`` chaos seam and
+    ``DEFAULT_STORE_RETRY``.
+
+    A missing file raises :class:`FileNotFoundError` at once; any other
+    :class:`OSError` that outlasts the retries surfaces as
+    :class:`~repro.errors.PersistError`.
+    """
+    try:
+        return DEFAULT_STORE_RETRY.call(
+            lambda: _read_raw(path), site=f"store.read:{kind}"
+        )
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise PersistError(f"cannot read {kind} {path!r}: {exc}") from exc
 
 
 def _read_envelope_one(path: str, *, kind: str = "document") -> dict:
     try:
-        text = DEFAULT_STORE_RETRY.call(
-            lambda: _read_text(path), site=f"store.read:{kind}"
-        )
+        data = read_bytes(path, kind=kind)
     except FileNotFoundError as exc:
         raise PersistError(f"no {kind} at {path!r}") from exc
-    except OSError as exc:
-        raise PersistError(f"cannot read {kind} {path!r}: {exc}") from exc
-    return _validate_envelope(text, path, kind)
+    return _validate_envelope(data, path, kind)
 
 
-def _validate_envelope(text: str, path: str, kind: str) -> dict:
+def _validate_envelope(text: str | bytes, path: str, kind: str) -> dict:
     try:
         envelope = json.loads(text)
     except ValueError as exc:
@@ -319,6 +350,9 @@ class Store:
         path = self.path(name)
         return os.path.exists(path) or os.path.exists(path + PREV_SUFFIX)
 
+    def _name_of(self, full: str) -> str:
+        return os.path.relpath(full, self.root).replace(os.sep, "/")
+
     def names(self) -> tuple[str, ...]:
         """Relative names of all primary documents, sorted."""
         out = []
@@ -326,8 +360,7 @@ class Store:
             for fn in filenames:
                 if fn.endswith((PREV_SUFFIX, ".tmp")):
                     continue
-                full = os.path.join(dirpath, fn)
-                out.append(os.path.relpath(full, self.root).replace(os.sep, "/"))
+                out.append(self._name_of(os.path.join(dirpath, fn)))
         return tuple(sorted(out))
 
     # -- documents -----------------------------------------------------
@@ -373,8 +406,12 @@ class Store:
             return False
         return True
 
-    def gc(self) -> dict:
+    def gc(self, *, exempt: frozenset[str] = frozenset()) -> dict:
         """Prune write debris; returns (and counts) what was done.
+
+        *exempt* names files under the root (relative, ``/``-separated)
+        that are not envelope documents — such as a run ledger — and
+        that the sweep must leave alone, with their ``.prev``.
 
         Three kinds of garbage, all produced by crashes in the write
         protocol (or its chaos simulation):
@@ -410,6 +447,8 @@ class Store:
                         stats["tmp_removed"] += 1
                     except OSError:
                         pass
+                elif self._name_of(full).removesuffix(PREV_SUFFIX) in exempt:
+                    continue
                 elif fn.endswith(PREV_SUFFIX):
                     prevs.append(full)
                 else:

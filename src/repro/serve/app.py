@@ -8,7 +8,14 @@ WorkerSupervisor`; every state transition is persisted through
 :class:`~repro.serve.store_index.ResultStore`, so a killed server restarts
 into the same job set and resumes solves from their checkpoints.
 
-Protocol (JSON over HTTP/1.1, ``Connection: close``)::
+Every write a served job causes costs O(1) in the size of the store:
+a job record per state transition (a cache hit is born ``done`` and
+written once), one result document, and one appended ledger line.
+
+Protocol (JSON over HTTP/1.1, ``Connection: close``; bodies are one
+line with sorted keys, from CPython's C encoder — ``indent`` would
+select the pure-Python one, about eight times slower — and the CLI
+re-indents what it prints)::
 
     POST /jobs          submit a JobRequest document
                           200  cache hit: job record + result body
@@ -59,7 +66,7 @@ from ..obs.progress import ProgressReporter, set_reporter
 from ..persist import InterruptController
 from .jobs import JobRequest
 from .queue import AdmissionQueue
-from .store_index import ResultStore
+from .store_index import RECOVERABLE_STATES, ResultStore
 from .workers import DEFAULT_JOB_RETRY, DRAIN_REASON, WorkerSupervisor
 
 __all__ = ["DerivationServer", "TERMINAL_STATES"]
@@ -138,7 +145,8 @@ class DerivationServer:
         self._inflight: dict[str, str] = {}
         self._done_events: dict[str, asyncio.Event] = {}
         self._progress: dict[str, _Tail] = {}
-        # serializes read-modify-write documents (index, ledger)
+        # serializes ledger appends, and keeps POST /gc's sweep away
+        # from result and ledger writes
         self._store_lock = threading.Lock()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._wake: asyncio.Event | None = None
@@ -149,7 +157,14 @@ class DerivationServer:
     # job bookkeeping (event-loop thread only)
     # ------------------------------------------------------------------
     def _new_job(
-        self, request: JobRequest, fingerprint: str, *, state: str, cache: str
+        self,
+        request: JobRequest,
+        fingerprint: str,
+        *,
+        state: str,
+        cache: str,
+        outcome: str | None = None,
+        verdict: str | None = None,
     ) -> dict:
         job_id = f"j{self._seq}"
         record = {
@@ -162,8 +177,8 @@ class DerivationServer:
             "fingerprint": fingerprint,
             "state": state,
             "cache": cache,
-            "outcome": None,
-            "verdict": None,
+            "outcome": outcome,
+            "verdict": verdict,
             "error": None,
             "attempts": 0,
             "resumed": False,
@@ -212,11 +227,9 @@ class DerivationServer:
         if cached is not None:
             obs.add("serve.cache.hit", 1)
             record = self._new_job(
-                request, fingerprint, state="done", cache="hit"
+                request, fingerprint, state="done", cache="hit",
+                outcome="complete", verdict=cached.get("verdict"),
             )
-            record["outcome"] = "complete"
-            record["verdict"] = cached.get("verdict")
-            self.store.save_job(record)
             self._ledger_job(record)
             self._done_events[record["job_id"]].set()
             return 200, {"job": record, "result": cached.get("result")}
@@ -258,8 +271,16 @@ class DerivationServer:
         return 202, {"job": record}
 
     def _recover(self) -> None:
-        """Re-enqueue every job a previous server life left unfinished."""
-        for record in self.store.recoverable_jobs():
+        """Re-enqueue every job a previous server life left unfinished.
+
+        Every record, finished or not, also raises the job-id sequence
+        past its ``seq``: ``server.json`` may be lost or one write
+        behind, and a reused id would overwrite a finished job.
+        """
+        for record in self.store.load_jobs():
+            self._seq = max(self._seq, int(record.get("seq", 0)) + 1)
+            if record.get("state") not in RECOVERABLE_STATES:
+                continue
             try:
                 request = JobRequest.from_json_dict(record["request"])
             except (ServeError, KeyError):
@@ -270,7 +291,6 @@ class DerivationServer:
                 continue
             job_id = record["job_id"]
             record["state"] = "queued"
-            self._seq = max(self._seq, int(record.get("seq", 0)) + 1)
             self._records[job_id] = record
             self._requests[job_id] = request
             self._done_events[job_id] = asyncio.Event()
@@ -398,7 +418,8 @@ class DerivationServer:
                 if status is None:
                     writer.close()
                     return
-                payload = json.dumps(doc, indent=2, sort_keys=True)
+                # no indent: it would select the pure-Python encoder
+                payload = json.dumps(doc, sort_keys=True)
                 reason = {200: "OK", 202: "Accepted", 400: "Bad Request",
                           404: "Not Found", 429: "Too Many Requests",
                           503: "Service Unavailable"}.get(status, "Error")

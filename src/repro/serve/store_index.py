@@ -1,35 +1,37 @@
-"""The server's durable state: results, jobs, checkpoints, index, ledger.
+"""The server's durable state: results, jobs, checkpoints, ledger.
 
-Everything lives under one root directory, every document inside a
-:class:`~repro.persist.Store` envelope — atomic rename, ``.prev``
-fallback, integrity-checked reads — so the server's cache survives the
-same crash and torn-write schedules its checkpoints do, and the
-``REPRO_CHAOS`` store fault sites exercise all of it for free::
+Everything lives under one root directory.  Every document except the
+ledger sits inside a :class:`~repro.persist.Store` envelope — atomic
+rename, ``.prev`` fallback, integrity-checked reads — so the server's
+cache survives the same crash and torn-write schedules its checkpoints
+do, and the ``REPRO_CHAOS`` store fault sites exercise all of it for
+free::
 
     <root>/
-      index.json              spec → problem → result artifact graph
       server.json             monotonic job-id sequence
-      results/<fp>.json       canonical result bodies, keyed by fingerprint
+      results/<fp>.json       result documents, keyed by fingerprint
       jobs/<id>.json          job records (the crash-recovery journal)
       checkpoints/<fp>.json   solve checkpoints of budget-tripped/drained jobs
-      ledger.json             the run ledger (``history --kind served``)
+      ledger.json             the run ledger, JSON lines
+                              (``history --kind served``)
 
 The **index** is the artifact graph the ROADMAP asks for: each entry
-maps a result fingerprint to its kind, verdict, and the fingerprints of
-the specs that produced it, so "every cached derivation involving this
-spec" is one scan.  The index is a cache of the ``results/`` directory —
-rebuildable, never authoritative — so a lost index costs a re-solve, not
-an answer.
+maps a result fingerprint to its kind, label, verdict, and the
+fingerprints of the specs that produced it, so "every cached derivation
+involving this spec" is one scan.  Each result document carries its
+own entry, so the index is a map in memory, built on first use from
+``results/`` and extended by :meth:`ResultStore.put_result`; a cached
+result costs one document write and no index write.
 
 Job records double as the **crash journal**: every state transition is
 persisted, so a restarted server can re-enqueue everything that was
-queued or running and resume solves from their checkpoints (see
-:meth:`ResultStore.recoverable_jobs`).
+queued or running and resume solves from their checkpoints.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from typing import Any
 
 from .. import obs
@@ -54,6 +56,10 @@ class ResultStore:
         self._jobs = Store(os.path.join(root, "jobs"))
         self._checkpoints = Store(os.path.join(root, "checkpoints"))
         self.ledger_path = os.path.join(root, "ledger.json")
+        # the index: result fingerprint -> entry, None until first use;
+        # worker threads insert while the event loop serves GET /index
+        self._entries: dict[str, dict] | None = None
+        self._index_lock = threading.Lock()
 
     # -- server state (the job-id sequence) ----------------------------
     def load_state(self) -> dict:
@@ -97,48 +103,71 @@ class ResultStore:
         verdict: str | None,
     ) -> None:
         """Cache a *complete* result and index it (idempotent)."""
-        self._results.write(
-            f"{fingerprint}.json",
-            {
-                "kind": kind,
-                "fingerprint": fingerprint,
-                "verdict": verdict,
-                "result": body,
-            },
-            kind="result",
-        )
-        index = self.index()
-        index["entries"][fingerprint] = {
+        entry = {
             "kind": kind,
             "label": label,
             "verdict": verdict,
             "specs": sorted(spec_fingerprints),
         }
-        self._docs.write("index.json", index, kind="serve-index")
+        self._results.write(
+            f"{fingerprint}.json",
+            {**entry, "fingerprint": fingerprint, "result": body},
+            kind="result",
+        )
+        with self._index_lock:
+            if self._entries is not None:
+                self._entries[fingerprint] = entry
 
-    def index(self) -> dict:
-        """The artifact-graph index body (fresh empty one when absent)."""
-        if not self._docs.exists("index.json"):
-            return {"kind": "serve-index", "schema": INDEX_SCHEMA,
-                    "entries": {}}
+    def _scan_results(self) -> dict[str, dict]:
+        """The index entries of every readable result document."""
+        legacy: dict[str, Any] | None = None
+        entries: dict[str, dict] = {}
+        for name in self._results.names():
+            try:
+                doc = self._results.read(name, kind="result")
+            except PersistError:
+                continue  # a miss, as in get_result
+            fingerprint = name[: -len(".json")]
+            old: dict[str, Any] = {}
+            if "specs" not in doc:
+                # cached before result documents carried their entry
+                if legacy is None:
+                    legacy = self._legacy_index()
+                old = legacy.get(fingerprint) or {}
+            entries[fingerprint] = {
+                "kind": doc.get("kind"),
+                "label": doc.get("label", old.get("label", "")),
+                "verdict": doc.get("verdict"),
+                "specs": doc.get("specs", old.get("specs", [])),
+            }
+        return entries
+
+    def _legacy_index(self) -> dict[str, Any]:
         try:
             body = self._docs.read("index.json", kind="serve-index")
         except PersistError:
-            # the index is a rebuildable cache; a torn one starts empty
-            return {"kind": "serve-index", "schema": INDEX_SCHEMA,
-                    "entries": {}}
-        if body.get("schema") != INDEX_SCHEMA:
-            raise PersistError(
-                f"serve index has unsupported schema {body.get('schema')!r}"
-            )
-        return body
+            return {}
+        entries = body.get("entries")
+        return entries if isinstance(entries, dict) else {}
+
+    def _index_entries(self) -> dict[str, dict]:
+        """A copy of the index map, built on first use."""
+        with self._index_lock:
+            if self._entries is None:
+                self._entries = self._scan_results()
+            return dict(self._entries)
+
+    def index(self) -> dict:
+        """The artifact-graph index body."""
+        return {"kind": "serve-index", "schema": INDEX_SCHEMA,
+                "entries": self._index_entries()}
 
     def entries_for_spec(self, spec_fingerprint: str) -> dict[str, dict]:
         """Index entries whose inputs include this spec fingerprint."""
         return {
             fp: entry
-            for fp, entry in self.index()["entries"].items()
-            if spec_fingerprint in entry.get("specs", ())
+            for fp, entry in self._index_entries().items()
+            if spec_fingerprint in entry["specs"]
         }
 
     # -- job records (the crash journal) -------------------------------
@@ -163,13 +192,6 @@ class ResultStore:
                 continue
         records.sort(key=lambda r: r.get("seq", 0))
         return records
-
-    def recoverable_jobs(self) -> list[dict]:
-        """Records a restarted server must re-enqueue (oldest first)."""
-        return [
-            r for r in self.load_jobs()
-            if r.get("state") in RECOVERABLE_STATES
-        ]
 
     # -- checkpoints (resume-after-crash for solve jobs) ----------------
     def checkpoint_path(self, fingerprint: str) -> str:
@@ -196,6 +218,9 @@ class ResultStore:
         """Run :meth:`~repro.persist.Store.gc` over the whole tree.
 
         The root store's walk is recursive, so one pass covers results,
-        jobs, checkpoints, the index, and the ledger alike.
+        jobs and checkpoints alike.  The ledger is exempt: it is JSON
+        lines, not an envelope, and the sweep would remove it as corrupt.
         """
-        return self._docs.gc()
+        return self._docs.gc(
+            exempt=frozenset({os.path.basename(self.ledger_path)})
+        )

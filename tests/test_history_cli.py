@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.obs.ledger import Ledger
+
+from .test_ledger import write_legacy_ledger
 
 DSL = """
 spec service
@@ -192,6 +195,28 @@ class TestHistoryCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["run_id"] == 2
         assert payload["work"]
+
+    def test_legacy_ledger_output_survives_conversion(self, two_runs, capsys):
+        write_legacy_ledger(two_runs, Ledger(two_runs).read())
+
+        def output(*argv):
+            assert main(["history", *argv, "--ledger", two_runs]) == 0
+            return capsys.readouterr().out
+
+        def outputs():
+            return (output("list"), output("list", "--format", "json"),
+                    output("show", "1"), output("show", "2"))
+
+        before = outputs()
+        assert Path(two_runs).read_bytes().startswith(b"{\n")  # schema 1
+        ledger = Ledger(two_runs)
+        ledger.append(dataclasses.replace(ledger.get(2), run_id=0))
+        assert not Path(two_runs).read_bytes().startswith(b"{\n")
+        text, payload, *shows = outputs()
+        # the appended run's own row aside, nothing reads differently
+        assert text.splitlines()[:-1] == before[0].splitlines()
+        assert json.loads(payload)[:-1] == json.loads(before[1])
+        assert shows == list(before[2:])
 
     def test_show_missing_run_exits_2(self, two_runs, capsys):
         assert main(["history", "show", "--ledger", two_runs, "9"]) == 2

@@ -1,20 +1,27 @@
 """Tests for repro.obs.ledger: records, appends, gc, crash safety, diffs.
 
-The acceptance-critical property lives in ``TestCrashSafety``: a crash at
-any point during an append (simulated by failing ``os.replace`` and by
-killing the write after the tmp file exists) leaves every previously
-recorded run readable — the ledger inherits the checkpoint store's
-atomic-write guarantees.
+The acceptance-critical properties live in ``TestCrashSafety``: a failed
+append (a failing ``fsync``, an injected ``store.write`` fault) leaves
+the ledger as it found it; a ledger cut at any byte — a crash mid-write —
+reads back exactly its complete records and takes the next append; and
+the two renames left (``gc``'s rewrite, the schema-1 conversion) keep
+the old file when they fail.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.chaos import DEFAULT_STORE_RETRY
+from repro import obs
+from repro.chaos import DEFAULT_STORE_RETRY, ChaosPlan, use_chaos
 from repro.errors import PersistError
 from repro.obs.ledger import (
     Ledger,
@@ -29,6 +36,43 @@ from repro.obs.ledger import (
 def _record(fingerprint="f" * 64, kind="solve", **kwargs):
     kwargs.setdefault("work", {"safety.pairs_explored": 9})
     return RunRecord(kind=kind, fingerprint=fingerprint, **kwargs)
+
+
+def write_legacy_ledger(path, records) -> None:
+    """Write *records* as a schema-1 ledger: one indented envelope."""
+    body = {
+        "kind": "ledger",
+        "schema": 1,
+        "next_id": records[-1].run_id + 1,
+        "entries": [r.to_json_dict() for r in records],
+    }
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    envelope = {
+        "schema": 1,
+        "sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
+        "body": body,
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(envelope, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def legacy_records(n=3):
+    return [
+        _record("a" * 64, work={"pairs": i}, run_id=i + 1, created_at=1.0 + i)
+        for i in range(n)
+    ]
+
+
+@pytest.fixture(scope="module")
+def five_appends(tmp_path_factory):
+    """The bytes of a ledger after five appends, and its records."""
+    path = str(tmp_path_factory.mktemp("ledger") / "ledger.json")
+    for i in range(5):
+        append_run(path, kind="solve", fingerprint="a" * 64, work={"pairs": i})
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    return raw, Ledger(path).read()
 
 
 class TestRunRecord:
@@ -145,6 +189,34 @@ class TestLedger:
         with pytest.raises(ValueError):
             Ledger(str(tmp_path / "ledger.json")).gc(keep=0)
 
+    def test_file_is_json_lines_with_a_hash_per_record(self, tmp_path):
+        path = str(tmp_path / "ledger.json")
+        first = append_run(path, kind="solve", fingerprint="a" * 64)
+        append_run(path, kind="solve", fingerprint="b" * 64)
+        header, line, _, end = Path(path).read_bytes().split(b"\n")
+        assert json.loads(header) == {"kind": "ledger", "schema": 2}
+        assert end == b""
+        doc = json.loads(line)
+        assert doc["record"] == first.to_json_dict()
+        canonical = json.dumps(
+            doc["record"], sort_keys=True, separators=(",", ":")
+        ).encode("utf-8")
+        assert doc["sha256"] == hashlib.sha256(canonical).hexdigest()
+
+    def test_corrupt_inner_record_is_skipped_and_counted(self, tmp_path):
+        path = str(tmp_path / "ledger.json")
+        for i in range(3):
+            append_run(path, kind="solve", fingerprint="a" * 64,
+                       work={"pairs": i})
+        raw = Path(path).read_bytes()
+        flipped = raw.replace(b'"pairs": 1', b'"pairs": 7', 1)
+        assert flipped != raw
+        Path(path).write_bytes(flipped)
+        with obs.use_collector() as collector:
+            assert [r.run_id for r in Ledger(path).read()] == [1, 3]
+        assert collector.snapshot().counters["ledger.corrupt_skipped"] == 1
+        assert append_run(path, kind="solve", fingerprint="a" * 64).run_id == 4
+
     def test_rejects_non_ledger_envelope(self, tmp_path):
         from repro.persist.store import write_envelope
 
@@ -178,20 +250,30 @@ class TestCrashSafety:
         return path
 
     def test_crash_at_replace_keeps_old_ledger(self, tmp_path, monkeypatch):
+        # appends rename nothing; gc's rewrite and the conversion of a
+        # schema-1 ledger are the renames left
         path = self._seed(tmp_path)
+        legacy = str(tmp_path / "legacy.json")
+        write_legacy_ledger(legacy, legacy_records())
+        before = {p: Path(p).read_bytes() for p in (path, legacy)}
         real_replace = os.replace
 
         def exploding_replace(src, dst):
-            if dst == path:
+            if dst in before:
                 raise OSError("simulated crash at rename")
             return real_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", exploding_replace)
         with pytest.raises(PersistError):
-            append_run(path, kind="solve", fingerprint="a" * 64)
+            Ledger(path).gc(keep=1)
+        with pytest.raises(PersistError):
+            append_run(legacy, kind="solve", fingerprint="a" * 64)
         monkeypatch.undo()
-        records = Ledger(path).read()
-        assert [r.run_id for r in records] == [1, 2, 3]
+        assert {p: Path(p).read_bytes() for p in before} == before
+        assert [r.run_id for r in Ledger(path).read()] == [1, 2, 3]
+        assert [r.run_id for r in Ledger(legacy).read()] == [1, 2, 3]
+        stray = [n for n in os.listdir(tmp_path) if ".tmp" in n]
+        assert stray == []
 
     def test_crash_during_write_leaves_no_torn_ledger(self, tmp_path, monkeypatch):
         path = self._seed(tmp_path)
@@ -213,13 +295,81 @@ class TestCrashSafety:
         stray = [n for n in os.listdir(tmp_path) if ".tmp" in n]
         assert stray == []
 
-    def test_corrupted_ledger_falls_back_to_prev(self, tmp_path):
-        path = self._seed(tmp_path)
-        append_run(path, kind="solve", fingerprint="a" * 64)  # rotates .prev
-        raw = open(path, encoding="utf-8").read()
-        open(path, "w", encoding="utf-8").write(raw[: len(raw) // 2])
-        records = Ledger(path).read()  # .prev carries runs 1..3
-        assert [r.run_id for r in records] == [1, 2, 3]
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_ledger_cut_at_any_byte_reads_its_complete_lines(
+        self, five_appends, data
+    ):
+        raw, records = five_appends
+        ends = [i for i, byte in enumerate(raw) if byte == ord("\n")]
+        cut = data.draw(
+            st.integers(0, len(raw))
+            | st.sampled_from([i + d for i in ends for d in (0, 1)])
+        )
+        # the header is the first complete line
+        expected = records[: max(raw[:cut].count(b"\n") - 1, 0)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "ledger.json")
+            with open(path, "wb") as fh:
+                fh.write(raw[:cut])
+            assert Ledger(path).read() == expected
+            later = append_run(path, kind="analyze", fingerprint="b" * 64)
+            assert later.run_id == len(expected) + 1
+            assert Ledger(path).read() == (*expected, later)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_store_write_chaos_over_appends(self, tmp_path, seed):
+        path = str(tmp_path / "ledger.json")
+        acknowledged = []
+        failed = 0
+        plan = ChaosPlan(seed=seed, p_write_enospc=0.3, p_write_partial=0.3)
+        with use_chaos(plan):
+            for i in range(24):
+                try:
+                    record = append_run(path, kind="solve",
+                                        fingerprint=f"{i:064d}")
+                except PersistError:
+                    failed += 1
+                else:
+                    acknowledged.append((record.run_id, record.fingerprint))
+        assert acknowledged and failed
+        # every append that returned an id reads back exactly once, and
+        # nothing else does
+        assert [(r.run_id, r.fingerprint) for r in Ledger(path).read()] \
+            == acknowledged
+        assert [i for i, _ in acknowledged] == list(
+            range(1, len(acknowledged) + 1)
+        )
+
+
+class TestLegacyLedger:
+    """Schema-1 ledgers (one envelope per file) still read, then convert."""
+
+    def test_reads_the_same_records(self, tmp_path):
+        path = str(tmp_path / "ledger.json")
+        records = legacy_records()
+        write_legacy_ledger(path, records)
+        assert Ledger(path).read() == tuple(records)
+
+    def test_first_append_converts_atomically(self, tmp_path):
+        path = str(tmp_path / "ledger.json")
+        records = legacy_records()
+        write_legacy_ledger(path, records)
+        Path(path + ".prev").write_text("{}")  # the rotated old snapshot
+        later = append_run(path, kind="solve", fingerprint="a" * 64)
+        assert later.run_id == 4
+        assert Ledger(path).read() == (*records, later)
+        assert Path(path).read_bytes().startswith(
+            b'{"kind": "ledger", "schema": 2}\n'
+        )
+        assert not os.path.exists(path + ".prev")
+
+    def test_gc_converts_and_keeps_ids(self, tmp_path):
+        path = str(tmp_path / "ledger.json")
+        write_legacy_ledger(path, legacy_records())
+        assert Ledger(path).gc(keep=1) == 2
+        assert [r.run_id for r in Ledger(path).read()] == [3]
+        assert append_run(path, kind="solve", fingerprint="a" * 64).run_id == 4
 
 
 class TestDiffRecords:

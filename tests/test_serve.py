@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
+import time
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.cli import main
 from repro.errors import InterruptRequested, ReproError, ServeError
 from repro.io.json_codec import spec_to_dict
 from repro.obs.core import ThreadSafeCollector
+from repro.obs.ledger import Ledger
 from repro.persist import InterruptController
 from repro.persist.checkpoint import problem_fingerprint
 from repro.quotient.solve import solve_quotient
@@ -221,6 +223,76 @@ class TestResultStore:
         assert store.entries_for_spec("s1")["f" * 64]["kind"] == "solve"
         assert store.entries_for_spec("nope") == {}
 
+    def test_index_is_rebuilt_from_results(self, tmp_path):
+        ResultStore(str(tmp_path)).put_result(
+            "f" * 64, kind="solve", label="x", spec_fingerprints=["s1"],
+            body={}, verdict="converter")
+        # a result cached before documents carried their index entry
+        old = ResultStore(str(tmp_path))
+        old._results.write("a" * 64 + ".json", {
+            "kind": "analyze", "fingerprint": "a" * 64, "verdict": "clean",
+            "result": {}}, kind="result")
+        old._docs.write("index.json", {
+            "kind": "serve-index", "schema": 1, "entries": {"a" * 64: {
+                "kind": "analyze", "label": "old", "verdict": "clean",
+                "specs": ["s1"]}}}, kind="serve-index")
+        entries = ResultStore(str(tmp_path)).entries_for_spec("s1")
+        assert entries == {
+            "f" * 64: {"kind": "solve", "label": "x",
+                       "verdict": "converter", "specs": ["s1"]},
+            "a" * 64: {"kind": "analyze", "label": "old",
+                       "verdict": "clean", "specs": ["s1"]},
+        }
+
+    def test_index_map_under_concurrent_puts(self, tmp_path):
+        import sys
+
+        def put(store, fingerprint):
+            store.put_result(fingerprint, kind="solve", label="",
+                             spec_fingerprints=["s"], body={}, verdict=None)
+
+        for i in range(40):  # so the first index() scan takes a while
+            put(ResultStore(str(tmp_path)), f"x{i:063d}")
+        errors: list[BaseException] = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for rnd in range(8):
+                # a fresh store: its first index() races the puts
+                store = ResultStore(str(tmp_path))
+                done = threading.Event()
+                start = threading.Barrier(5, timeout=30)
+
+                def writer(w, store=store, start=start, rnd=rnd):
+                    start.wait()
+                    for i in range(10):
+                        put(store, f"{rnd}{w}{i:062d}")
+
+                def reader(store=store, start=start, done=done):
+                    start.wait()
+                    try:
+                        while not done.is_set():
+                            json.dumps(store.index())
+                            store.entries_for_spec("s")
+                    except BaseException as exc:  # asserted below
+                        errors.append(exc)
+
+                writers = [threading.Thread(target=writer, args=(w,))
+                           for w in range(4)]
+                watcher = threading.Thread(target=reader)
+                for t in (watcher, *writers):
+                    t.start()
+                for t in writers:
+                    t.join(60)
+                done.set()
+                watcher.join(60)
+                assert not any(t.is_alive() for t in (*writers, watcher))
+                assert errors == []
+                # no put was lost to the map being built
+                assert len(store.index()["entries"]) == 40 + 40 * (rnd + 1)
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_corrupt_result_reads_as_miss(self, tmp_path):
         store = ResultStore(str(tmp_path))
         store.put_result("a" * 64, kind="solve", label="",
@@ -237,9 +309,15 @@ class TestResultStore:
         for seq, state in enumerate(
             ("done", "queued", "running", "failed", "interrupted")
         ):
-            store.save_job({"job_id": f"j{seq}", "seq": seq, "state": state})
-        recoverable = store.recoverable_jobs()
-        assert [r["job_id"] for r in recoverable] == ["j1", "j2", "j4"]
+            store.save_job({"job_id": f"j{seq}", "seq": seq, "state": state,
+                            "fingerprint": f"f{seq}",
+                            "request": solve_doc(seed=seq)})
+        assert [r["seq"] for r in store.load_jobs()] == [0, 1, 2, 3, 4]
+        # a restarted server re-enqueues exactly the unfinished jobs
+        server = DerivationServer(str(tmp_path))
+        server._recover()
+        assert sorted(server._records) == ["j1", "j2", "j4"]
+        assert server.queue.depth == 3
         assert store.load_job("j0")["state"] == "done"
         assert store.load_job("missing") is None
 
@@ -366,6 +444,35 @@ class TestServerAdmission:
         # answer, not a lost job
         assert server.store.load_job(shed["job_id"])["state"] == "shed"
 
+    def test_job_ids_survive_a_lost_server_state(self, tmp_path):
+        server = self._server(tmp_path)
+        _, first = server._submit(solve_doc(seed=39))
+        server._run_one(first["job"]["job_id"])
+        finished = server.store.load_job("j0")
+        assert finished["state"] == "done"
+        for name in ("server.json", "server.json.prev"):
+            (tmp_path / "store" / name).unlink(missing_ok=True)
+        restarted = self._server(tmp_path)
+        restarted._recover()
+        _, second = restarted._submit(solve_doc(seed=40))
+        # every job the last life finished still owns its id
+        assert second["job"]["job_id"] == "j1"
+        assert restarted.store.load_job("j0") == finished
+
+    def test_cache_hit_writes_its_record_once(self, tmp_path, monkeypatch):
+        server = self._server(tmp_path)
+        doc = solve_doc(seed=31)
+        _, first = server._submit(doc)
+        server._run_one(first["job"]["job_id"])
+        saved = []
+        monkeypatch.setattr(server.store, "save_job",
+                            lambda record: saved.append(dict(record)))
+        status, _ = server._submit(doc)
+        assert status == 200
+        assert [(r["state"], r["outcome"]) for r in saved] == [
+            ("done", "complete")
+        ]
+
     def test_draining_rejects_with_503(self, tmp_path):
         server = self._server(tmp_path)
         server.draining = True
@@ -457,6 +564,21 @@ class TestServerHTTP:
         assert client.gc()["scanned"] >= 1
         jobs = client.jobs()["jobs"]
         assert [j["job_id"] for j in jobs] == [accepted["job"]["job_id"]]
+
+    def test_gc_keeps_the_ledger(self, live_server):
+        server, client = live_server()
+        for seed in (45, 46):
+            _, accepted = client.submit(solve_doc(seed=seed))
+            client.wait(accepted["job"]["job_id"], timeout_s=60)
+        ledger = Ledger(server.store.ledger_path)
+        # a job reads done just before its ledger append
+        deadline = time.monotonic() + 10
+        while len(ledger.read()) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        served = ledger.read()
+        assert [r.kind for r in served] == ["served", "served"]
+        assert client.gc()["corrupt_removed"] == 0
+        assert ledger.read() == served
 
     def test_error_surfaces(self, live_server):
         _, client = live_server()
