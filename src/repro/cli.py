@@ -1406,7 +1406,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="semantic analysis on the reachable product graph",
         description=(
             "Run the semantic analyzer (repro.lint.semantic): build the "
-            "reachable product graph with the compiled kernel and report "
+            "reachable product graph over labelled states and report "
             "the SEM2xx findings — dead states (SEM201), non-executable "
             "transitions (SEM202), unspecified receptions (SEM203), "
             "reachable deadlocks (SEM204), livelock SCCs (SEM205), "
@@ -1679,8 +1679,9 @@ def build_parser() -> argparse.ArgumentParser:
             "content-addressed deduplication, bounded admission, and "
             "crash-recovering supervised execution.  Runs until "
             "SIGTERM/SIGINT (or POST /shutdown), then drains: running "
-            "jobs finish, queued jobs persist, and a restarted server "
-            "runs them.  REPRO_CHAOS fault schedules apply to the "
+            "jobs stop at their next charge boundary and are checkpointed, "
+            "queued jobs persist, and a restarted server resumes or runs "
+            "them.  REPRO_CHAOS fault schedules apply to the "
             "server's own execution (site serve.job) and its store I/O.  "
             "See docs/serving.md."
         ),

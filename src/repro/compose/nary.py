@@ -47,7 +47,6 @@ def compose_many(
     *,
     name: str | None = None,
     reachable_only: bool = True,
-    flatten: bool = True,
     preflight: bool = True,
     budget: "Budget | None" = None,
     interrupt: "InterruptController | None" = None,
@@ -63,8 +62,6 @@ def compose_many(
         Display name of the composite (default: joined component names).
     reachable_only:
         Restrict to the reachable product (default True).
-    flatten:
-        Relabel composite states from nested pairs to flat k-tuples.
     preflight:
         Run the composition-scope static-analysis rules first (default
         on); error-severity findings — e.g. ``COMP001``, an event shared
@@ -116,9 +113,8 @@ def compose_many(
                 interrupt=interrupt,
             )
         result = result.renamed(composite_name)
-        if flatten:
-            depth = len(specs)
-            mapping = {s: _flatten_state(s, depth) for s in result.states}
-            result = result.map_states(mapping)
+        depth = len(specs)
+        mapping = {s: _flatten_state(s, depth) for s in result.states}
+        result = result.map_states(mapping)
         sp.set(states=len(result.states))
     return result

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from .. import obs
-from ..events import Alphabet, Event
+from ..events import Event
 from ..spec.spec import Specification, State, _state_sort_key
 
 if TYPE_CHECKING:
@@ -73,10 +73,6 @@ class ProductGraph:
     @property
     def n(self) -> int:
         return len(self.vectors)
-
-    def enabled_external(self, idx: int) -> Alphabet:
-        """External events enabled at vector *idx*."""
-        return Alphabet(e for e, _ in self.ext_out[idx])
 
     def trace_to(self, idx: int) -> tuple[str, ...]:
         """Event labels along the BFS discovery path to vector *idx*.

@@ -5,9 +5,9 @@ the ledger is the *flight recorder across processes*: one schema-versioned
 record per solve / resilience / analyze / bench run, keyed by the same
 SHA-256 fingerprints the checkpoint layer computes
 (:func:`~repro.persist.checkpoint.problem_fingerprint`,
-``CompiledSpec.content_hash``), so runs of the same problem are
-comparable across sessions — and the future quotient-as-a-service layer
-gets its cache index for free.
+:func:`~repro.persist.checkpoint.spec_fingerprint`), so runs of the
+same problem are comparable across sessions, and the derivation server's
+jobs (kind ``served``) land beside them.
 
 The file is JSON lines (ledger schema 2): a header line, then one line
 per record, ``{"record": {...}, "sha256": <hex of the canonical

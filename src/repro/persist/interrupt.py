@@ -13,7 +13,9 @@ Three interrupt sources:
 * :meth:`request` — called from a signal handler (see
   :meth:`install_sigint`) or any other thread; the run stops at the next
   boundary instead of unwinding mid-loop the way ``KeyboardInterrupt``
-  would.
+  would.  A request on the controller's ``parent`` counts too, whenever
+  it arrives: the server's drain controller is the parent of every job's
+  own controller, so one SIGTERM stops every running job.
 * ``deadline_s`` — a soft wall-clock ceiling measured from construction,
   checked every :data:`DEADLINE_CHECK_INTERVAL` charges to keep the hot
   loop free of clock reads.
@@ -52,6 +54,7 @@ class InterruptController:
         "_started",
         "_reason",
         "_ticks",
+        "_parent",
     )
 
     def __init__(
@@ -60,6 +63,7 @@ class InterruptController:
         deadline_s: float | None = None,
         at_charge: int | None = None,
         clock: Callable[[], float] = time.monotonic,
+        parent: "InterruptController | None" = None,
     ) -> None:
         if deadline_s is not None and deadline_s <= 0:
             raise ValueError(f"deadline_s must be positive, got {deadline_s!r}")
@@ -74,6 +78,7 @@ class InterruptController:
         # one tick short of the interval, so very short runs still see
         # their deadline at the first charge
         self._ticks = DEADLINE_CHECK_INTERVAL - 1
+        self._parent = parent
 
     # ------------------------------------------------------------------
     def request(self, reason: str = "interrupt requested") -> None:
@@ -91,6 +96,8 @@ class InterruptController:
     def tick(self) -> str | None:
         """Count one charge; the pending interrupt reason, or ``None``."""
         self.charges += 1
+        if self._reason is None and self._parent is not None:
+            self._reason = self._parent._reason
         if self._reason is not None:
             return self._reason
         if self.at_charge is not None and self.charges >= self.at_charge:

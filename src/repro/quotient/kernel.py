@@ -68,15 +68,11 @@ class CompiledProblem:
         "ca",
         "cb",
         "n_component",
-        "psi_flat",
-        "n_svc_events",
-        "lam_off",
-        "lam_tg",
+        "psi",
         "menus",
         "int_events",
         "ext_moves_b",
         "int_moves_b",
-        "int_moves_map_b",
         "ext_mask_b",
         "_succ_codes",
         "_int_seeds",
@@ -89,9 +85,7 @@ class CompiledProblem:
         self.ca = ca
         self.cb = cb
         self.n_component = cb.n_states
-        self.psi_flat = ca.psi_flat()
-        self.n_svc_events = ca.n_events
-        self.lam_off, self.lam_tg = cb.int_succ_csr()
+        self.psi = ca.psi_table()
         self.menus = ca.acceptance_menus()
 
         ext = problem.interface.ext_events
@@ -122,7 +116,6 @@ class CompiledProblem:
             ext_mask_b.append(mask)
         self.ext_moves_b = tuple(ext_moves_b)
         self.int_moves_b = tuple(int_moves_b)
-        self.int_moves_map_b = tuple(dict(moves) for moves in int_moves_b)
         self.ext_mask_b = tuple(ext_mask_b)
 
         self._succ_codes: dict[int, tuple[int, ...] | None] = {}
@@ -152,19 +145,16 @@ class CompiledProblem:
 
         A pair's λ- and ψ-mirrored expansions depend only on the pair, and
         the same codes recur across thousands of closure calls, so the
-        batch is computed once per code: the flat CSR λ buffer and the
-        flat ``ψ`` row replace the nested-tuple walk of the original loop.
+        batch is computed once per code.
         """
         nb = self.n_component
         a, b = divmod(code, nb)
         base = code - b
-        lam_off = self.lam_off
-        out = [base + b2 for b2 in self.lam_tg[lam_off[b]:lam_off[b + 1]]]
-        row_base = a * self.n_svc_events
-        psi_flat = self.psi_flat
+        out = [base + b2 for b2 in self.cb.int_succ[b]]
+        psi_row = self.psi[a]
         result: tuple[int, ...] | None = None
         for svc_eid, targets in self.ext_moves_b[b]:
-            a2 = psi_flat[row_base + svc_eid]
+            a2 = psi_row[svc_eid]
             if a2 < 0:
                 # τ.b ∩ Ext ⊄ τ*.a — ok fails for any set containing (a, b)
                 break
@@ -225,11 +215,10 @@ class CompiledProblem:
         """
         b = code % self.n_component
         base = code - b
-        row = self.int_moves_map_b[b]
-        segments = tuple(
-            tuple(base + b2 for b2 in row[k]) if k in row else ()
-            for k in range(len(self.int_events))
-        )
+        row: list[tuple[int, ...]] = [()] * len(self.int_events)
+        for int_idx, targets in self.int_moves_b[b]:
+            row[int_idx] = tuple(base + b2 for b2 in targets)
+        segments = tuple(row)
         self._int_seeds[code] = segments
         return segments
 

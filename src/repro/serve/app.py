@@ -39,9 +39,9 @@ computing twice; a fingerprint with a cached complete result returns it
 immediately (``serve.cache.hit``) without touching the queue.
 
 **Drain** (SIGTERM, SIGINT, or ``POST /shutdown``): admission closes
-(503), queued jobs stay persisted as ``queued``, a job already solving
-runs to its end (one whose solve had not started is checkpointed as
-``interrupted``), the ledger is flushed, and the process exits cleanly.
+(503), queued jobs stay persisted as ``queued``, a running job stops at
+its next charge boundary and is checkpointed as ``interrupted``, the
+ledger is flushed, and the process exits cleanly.
 A restarted server re-enqueues every unfinished job
 (``serve.jobs.recovered``) past the admission bound — an accepted job
 is never lost, SIGKILL included.

@@ -111,12 +111,3 @@ class AdmissionQueue:
         _, _, job = heapq.heappop(self._heap)
         obs.gauge("serve.queue.depth", len(self._heap))
         return job
-
-    def drain(self) -> list[Any]:
-        """Remove and return every queued job in pop order."""
-        out = []
-        while self._heap:
-            job = self.pop()
-            if job is not None:
-                out.append(job)
-        return out

@@ -43,7 +43,7 @@ __all__ = ["ResultStore"]
 INDEX_SCHEMA = 1
 
 #: Job states that survive a restart and must be re-run.
-RECOVERABLE_STATES = ("queued", "running", "retrying", "interrupted")
+RECOVERABLE_STATES = ("queued", "running", "interrupted")
 
 
 class ResultStore:

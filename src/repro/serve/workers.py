@@ -11,8 +11,9 @@
 2. **Budgets and deadlines** surface as ``partial-budget`` /
    ``partial-interrupt`` outcomes with a persisted checkpoint, so a
    resubmission (or a restarted server) picks up where the job stopped.
-3. **Drain** (SIGTERM) parks a job whose drain was requested before it
-   started as ``interrupted``, recoverable by the next server life.
+3. **Drain** (SIGTERM) stops a running job at its next charge boundary
+   and parks it as ``interrupted`` with a checkpoint, so the next server
+   life resumes it.
 
 Workers are threads of one process, so a worker cannot die on its own:
 a crash takes the whole server down, and the restarted server re-runs
@@ -93,10 +94,10 @@ class WorkerSupervisor:
         """Execute *request* to a terminal :class:`JobOutcome`.
 
         *drain* is an externally owned controller the server requests on
-        SIGTERM; a request already pending when the job starts is
-        forwarded into the job's own controller, so the job stops at its
-        first charge boundary and the outcome is ``interrupted``
-        (recoverable on restart) rather than ``failed``.
+        SIGTERM.  It is the parent of the job's own controller, so a
+        drain requested before the job starts or while it runs stops the
+        job at its next charge boundary, and the outcome is
+        ``interrupted`` (recoverable on restart) rather than ``failed``.
         """
         fp = fingerprint if fingerprint is not None else request.fingerprint()
         resume = (
@@ -106,10 +107,8 @@ class WorkerSupervisor:
             state="failed", outcome="failed", resumed=resume is not None
         )
         controller = InterruptController(
-            deadline_s=request.deadline_s, clock=self._clock
+            deadline_s=request.deadline_s, clock=self._clock, parent=drain
         )
-        if drain is not None and drain.requested:
-            controller.request(DRAIN_REASON)
         state = chaos.active()
         inject = state is not None and state.serve_job_fault()
 

@@ -40,7 +40,6 @@ at the boundary (see ``tests/test_compiled_kernel.py`` and
 from __future__ import annotations
 
 import threading
-from array import array
 from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Iterator
@@ -195,21 +194,6 @@ class CompiledSpec:
             mask |= 1 << event_index[e]
         return mask
 
-    def content_hash(self) -> str:
-        """The sha256 fingerprint of the source specification (memoized).
-
-        Delegates to :func:`repro.persist.spec_fingerprint` (canonical
-        JSON form, name excluded), so a compiled spec's identity matches
-        the one recorded in checkpoints.
-        """
-        cached = self._memo.get("content_hash")
-        if cached is None:
-            from ..persist.checkpoint import spec_fingerprint
-
-            cached = spec_fingerprint(self.source)
-            self._memo["content_hash"] = cached
-        return cached  # type: ignore[return-value]
-
     # ------------------------------------------------------------------
     # memoized whole-spec analyses
     # ------------------------------------------------------------------
@@ -317,45 +301,6 @@ class CompiledSpec:
                 for i in range(self.n_states)
             )
             self._memo["acceptance_menus"] = cached
-        return cached  # type: ignore[return-value]
-
-    def int_succ_csr(self) -> tuple[memoryview, memoryview]:
-        """``λ`` adjacency in CSR form, as flat ``array('q')`` memoryviews.
-
-        Returns ``(offsets, targets)``: the λ-successors of state ``i``
-        are ``targets[offsets[i]:offsets[i + 1]]``, ascending.  The flat
-        form trades the per-state tuple indirection of :attr:`int_succ`
-        for two contiguous buffers, so hot loops (the quotient kernel's
-        Ext-closure, the product τ* crawl) read successors with plain
-        integer slicing instead of chasing nested objects.
-        """
-        cached = self._memo.get("int_succ_csr")
-        if cached is None:
-            offsets = array("q", [0])
-            targets = array("q")
-            total = 0
-            for succ in self.int_succ:
-                total += len(succ)
-                offsets.append(total)
-                targets.extend(succ)
-            cached = (memoryview(offsets), memoryview(targets))
-            self._memo["int_succ_csr"] = cached
-        return cached  # type: ignore[return-value]
-
-    def psi_flat(self) -> memoryview:
-        """The ``ψ`` table flattened row-major into one ``array('q')``.
-
-        ``psi_flat()[a * n_events + e]`` equals ``psi_table()[a][e]``
-        (``-1`` = disabled); one bounds-checked buffer read replaces two
-        tuple indexings in the kernel's inner ``ok`` check.
-        """
-        cached = self._memo.get("psi_flat")
-        if cached is None:
-            flat = array("q")
-            for row in self.psi_table():
-                flat.extend(row)
-            cached = memoryview(flat)
-            self._memo["psi_flat"] = cached
         return cached  # type: ignore[return-value]
 
     def psi_table(self) -> tuple[tuple[int, ...], ...]:

@@ -176,7 +176,9 @@ def isomorphic(left: Specification, right: Specification) -> bool:
 
     Backtracking search seeded from the initial states, pruned by local
     degree signatures and bisimulation classes.  Intended for the small
-    machines in figures and tests.
+    machines in figures and tests, so the in-degree pruning builds its
+    reverse index of ``T`` and ``λ`` here, once per call, rather than
+    every :class:`Specification` carrying one.
     """
     if left.alphabet != right.alphabet:
         return False
@@ -193,22 +195,19 @@ def isomorphic(left: Specification, right: Specification) -> bool:
     def klass(side: str, s: State) -> int:
         return classes[(side, s)]
 
-    def local_sig(spec: Specification, s: State):
+    left_ext_in, left_int_in = _reverse_index(left)
+    right_ext_in, right_int_in = _reverse_index(right)
+
+    def local_sig(spec: Specification, ext_in, int_in, s: State):
         out = tuple(
             sorted((e, len(spec.successors(s, e))) for e in spec.enabled(s))
         )
-        inn = tuple(
-            sorted(
-                (e, len(spec.predecessors(s, e)))
-                for e in spec.alphabet
-                if spec.predecessors(s, e)
-            )
-        )
+        inn = tuple(sorted((e, len(sources)) for e, sources in ext_in[s].items()))
         return (
             out,
             inn,
             len(spec.internal_successors(s)),
-            len(spec.internal_predecessors(s)),
+            len(int_in[s]),
         )
 
     left_states = sorted(left.states, key=_state_sort_key)
@@ -220,7 +219,9 @@ def isomorphic(left: Specification, right: Specification) -> bool:
     def compatible(a: State, b: State) -> bool:
         if klass("L", a) != klass("R", b):
             return False
-        if local_sig(left, a) != local_sig(right, b):
+        if local_sig(left, left_ext_in, left_int_in, a) != local_sig(
+            right, right_ext_in, right_int_in, b
+        ):
             return False
         return True
 
@@ -230,14 +231,14 @@ def isomorphic(left: Specification, right: Specification) -> bool:
             for a2 in left.successors(a, e):
                 if a2 in mapping and mapping[a2] not in right.successors(b, e):
                     return False
-            for a2 in left.predecessors(a, e):
-                if a2 in mapping and mapping[a2] not in right.predecessors(b, e):
+            for a2 in left_ext_in[a].get(e, ()):
+                if a2 in mapping and mapping[a2] not in right_ext_in[b].get(e, ()):
                     return False
         for a2 in left.internal_successors(a):
             if a2 in mapping and mapping[a2] not in right.internal_successors(b):
                 return False
-        for a2 in left.internal_predecessors(a):
-            if a2 in mapping and mapping[a2] not in right.internal_predecessors(b):
+        for a2 in left_int_in[a]:
+            if a2 in mapping and mapping[a2] not in right_int_in[b]:
                 return False
         return True
 
@@ -266,6 +267,19 @@ def isomorphic(left: Specification, right: Specification) -> bool:
     left_states.remove(left.initial)
     left_states.insert(0, left.initial)
     return extend(1)
+
+
+def _reverse_index(
+    spec: Specification,
+) -> tuple[dict[State, dict[Event, set[State]]], dict[State, set[State]]]:
+    """Per state, its ``T`` sources by event and its ``λ`` sources."""
+    ext_in: dict[State, dict[Event, set[State]]] = {s: {} for s in spec.states}
+    for s, e, s2 in spec.external:
+        ext_in[s2].setdefault(e, set()).add(s)
+    int_in: dict[State, set[State]] = {s: set() for s in spec.states}
+    for s, s2 in spec.internal:
+        int_in[s2].add(s)
+    return ext_in, int_in
 
 
 def _verify_iso(

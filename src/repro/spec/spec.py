@@ -75,8 +75,6 @@ class Specification:
         "_initial",
         "_ext_adj",
         "_int_adj",
-        "_ext_radj",
-        "_int_radj",
         "_order",
         "_rank",
         "_enabled",
@@ -104,29 +102,21 @@ class Specification:
         self._initial = initial
         self._validate()
 
-        # Adjacency indices, built once (specs are immutable).  The inner
-        # successor/predecessor sets are frozen here so the query methods can
-        # hand them out directly without a per-call copy.
+        # Forward adjacency, built once (specs are immutable): every
+        # algorithm walks T and λ forward from s0.  The inner successor
+        # sets are frozen here so the query methods can hand them out
+        # directly without a per-call copy.
         ext_adj: dict[State, dict[Event, set[State]]] = {s: {} for s in self._states}
-        ext_radj: dict[State, dict[Event, set[State]]] = {s: {} for s in self._states}
         for s, e, s2 in self._external:
             ext_adj[s].setdefault(e, set()).add(s2)
-            ext_radj[s2].setdefault(e, set()).add(s)
         int_adj: dict[State, set[State]] = {s: set() for s in self._states}
-        int_radj: dict[State, set[State]] = {s: set() for s in self._states}
         for s, s2 in self._internal:
             int_adj[s].add(s2)
-            int_radj[s2].add(s)
         self._ext_adj = {
             s: {e: frozenset(targets) for e, targets in adj.items()}
             for s, adj in ext_adj.items()
         }
-        self._ext_radj = {
-            s: {e: frozenset(sources) for e, sources in adj.items()}
-            for s, adj in ext_radj.items()
-        }
         self._int_adj = {s: frozenset(targets) for s, targets in int_adj.items()}
-        self._int_radj = {s: frozenset(sources) for s, sources in int_radj.items()}
         # Deterministic state order, computed once: _state_sort_key builds a
         # repr() per state, so caching the order here means sorting anywhere
         # else in the library is a cheap integer-rank sort.
@@ -215,17 +205,9 @@ class Specification:
         """States ``s'`` with ``state --event--> s'`` in ``T``."""
         return self._ext_adj[state].get(event, _EMPTY)
 
-    def predecessors(self, state: State, event: Event) -> frozenset[State]:
-        """States ``s`` with ``s --event--> state`` in ``T``."""
-        return self._ext_radj[state].get(event, _EMPTY)
-
     def internal_successors(self, state: State) -> frozenset[State]:
         """States reachable from *state* by a single λ step."""
         return self._int_adj[state]
-
-    def internal_predecessors(self, state: State) -> frozenset[State]:
-        """States with a single λ step into *state*."""
-        return self._int_radj[state]
 
     def enabled(self, state: State) -> Alphabet:
         """``τ.s`` — the external events enabled in *state*.
@@ -234,17 +216,13 @@ class Specification:
         """
         return self._enabled[state]
 
-    def state_rank(self, state: State) -> int:
-        """Position of *state* in the cached deterministic order.
+    def sorted_by_rank(self, states: Iterable[State]) -> list[State]:
+        """*states* (members of this spec) in the deterministic order.
 
         Equivalent to sorting by :func:`_state_sort_key`, but the repr-based
         key is computed once per state at construction instead of once per
-        comparison — use ``key=spec.state_rank`` in hot sorts.
+        comparison.
         """
-        return self._rank[state]
-
-    def sorted_by_rank(self, states: Iterable[State]) -> list[State]:
-        """*states* (members of this spec) in the deterministic order."""
         return sorted(states, key=self._rank.__getitem__)
 
     def has_internal(self, state: State) -> bool:

@@ -1,8 +1,14 @@
 """Unit tests for behavioural equivalences."""
 
+from itertools import permutations
+
+from hypothesis import given, settings, strategies as st
+
 from repro.spec import (
     SpecBuilder,
+    Specification,
     isomorphic,
+    random_spec,
     strongly_bisimilar,
     trace_equivalent,
     weakly_trace_bisimilar,
@@ -75,6 +81,77 @@ class TestIsomorphic:
             .build()
         )
         assert isomorphic(diamond, diamond.map_states({0: 10, 1: 12, 2: 11, 3: 13}))
+
+
+def brute_isomorphic(left: Specification, right: Specification) -> bool:
+    """Whether some state bijection carries *left* exactly onto *right*."""
+    if left.alphabet != right.alphabet or len(left) != len(right):
+        return False
+    left_states = sorted(left.states, key=repr)
+    for image in permutations(right.states):
+        m = dict(zip(left_states, image))
+        if (
+            m[left.initial] == right.initial
+            and {(m[s], e, m[t]) for s, e, t in left.external} == right.external
+            and {(m[s], m[t]) for s, t in left.internal} == right.internal
+        ):
+            return True
+    return False
+
+
+def _random_small(n: int, seed: int, ext: float, inn: float) -> Specification:
+    return random_spec(
+        n_states=n, events=("a", "b"), external_density=ext,
+        internal_density=inn, seed=seed,
+    )
+
+
+def _retargeted(spec: Specification, index: int, target) -> Specification:
+    """*spec* with transition *index* (external first, then λ) moved to *target*."""
+    external = sorted(spec.external, key=repr)
+    internal = sorted(spec.internal, key=repr)
+    if index < len(external):
+        s, e, _ = external[index]
+        external[index] = (s, e, target)
+    else:
+        s, _ = internal[index - len(external)]
+        internal[index - len(external)] = (s, target)
+    return Specification(
+        spec.name, spec.states, spec.alphabet, external, internal, spec.initial
+    )
+
+
+@st.composite
+def spec_pairs(draw):
+    """Specs of at most 5 states: two independent draws, or one and a copy
+    under a random relabelling, with one transition retargeted or not."""
+    n = draw(st.sampled_from(range(1, 6)))
+    densities = (st.sampled_from((0.2, 0.4, 0.7)),
+                 st.sampled_from((0.0, 0.15, 0.3)))
+    left = _random_small(n, draw(st.integers(0, 10**6)), *map(draw, densities))
+    kind = draw(st.sampled_from(("independent", "relabelled", "retargeted")))
+    if kind == "independent":
+        return left, _random_small(
+            n, draw(st.integers(0, 10**6)), *map(draw, densities)
+        )
+    right = left
+    n_transitions = len(left.external) + len(left.internal)
+    if kind == "retargeted" and n_transitions:
+        right = _retargeted(
+            left,
+            draw(st.integers(0, n_transitions - 1)),
+            draw(st.sampled_from(sorted(left.states, key=repr))),
+        )
+    states = sorted(right.states, key=repr)
+    image = draw(st.permutations(states))
+    return left, right.map_states({s: f"q{t}" for s, t in zip(states, image)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec_pairs())
+def test_isomorphic_matches_brute_force_over_bijections(pair):
+    left, right = pair
+    assert isomorphic(left, right) == brute_isomorphic(left, right)
 
 
 class TestStrongBisimilarity:

@@ -233,6 +233,14 @@ class TestInterruptController:
         assert ctrl.requested
         assert ctrl.tick() == "operator said stop"
 
+    def test_parent_request_fires_at_next_tick(self):
+        parent = InterruptController()
+        ctrl = InterruptController(parent=parent)
+        assert ctrl.tick() is None
+        parent.request("server drain")
+        assert ctrl.tick() == "server drain"
+        assert ctrl.tick() == "server drain"
+
     def test_deadline_with_fake_clock(self):
         now = [10.0]
         ctrl = InterruptController(deadline_s=5.0, clock=lambda: now[0])

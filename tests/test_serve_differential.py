@@ -364,16 +364,9 @@ def test_sigterm_under_load_then_restart_resumes_all(tmp_path):
     _assert_served_in_ledger(store, job_ids.values())
 
 
-def test_sigkill_mid_job_then_restart_finishes_all(tmp_path):
-    """SIGKILL a server mid-job; a restart finishes every job.
-
-    Workers are threads, so the real crash is the whole process dying,
-    with no drain.  The killed job's record still reads ``running`` and
-    it left no checkpoint, so the next server life re-runs it from its
-    start; the queued jobs behind it are recovered untouched.  Every
-    accepted job must reach ``done`` byte-identical to the direct solve.
-    """
-    service, component = _relay(5)
+def _relay_job(k: int) -> tuple[dict, str]:
+    """The SEC7 relay as a job document, and its batch-solve body."""
+    service, component = _relay(k)
     relay_doc = {
         "kind": "solve",
         "payload": {"service": spec_to_dict(service),
@@ -381,6 +374,38 @@ def test_sigkill_mid_job_then_restart_finishes_all(tmp_path):
     }
     relay_body = solve_quotient(service, component).to_json_dict()
     relay_body.pop("stats", None)
+    return relay_doc, json.dumps(relay_body, sort_keys=True)
+
+
+def _wait_solving(client: ServeClient) -> None:
+    """Return once the server's one running job has started solving.
+
+    The safety phase compiles its problem (``kernel.problem_cache_misses``)
+    inside the job's supervised run.  By then the job's record reads
+    ``running`` on disk and its own interrupt controller exists, so a
+    signal from here on reaches a job already solving, not one that
+    has yet to start.  ``GET /metrics`` answers in milliseconds, while
+    a job record carries the whole request (1.4 MB for the k=5 relay),
+    so one poll of it can outlast the solve's last charge boundary.
+    """
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline:
+        counters = client.metrics()["counters"]
+        if counters.get("kernel.problem_cache_misses", 0):
+            return
+        time.sleep(0.01)
+    pytest.fail("the relay job never started solving")
+
+
+def test_sigterm_mid_solve_parks_the_running_job_then_resumes(tmp_path):
+    """SIGTERM a server mid-solve; the running job stops and resumes.
+
+    The drain reaches a job that is already solving: it stops at its
+    next charge boundary and its record reads ``interrupted``, with a
+    checkpoint on disk.  A second server life resumes it from that
+    checkpoint to ``done``, byte-identical to the batch solve.
+    """
+    relay_doc, relay_body = _relay_job(5)
     store_root = str(tmp_path / "store")
     store = ResultStore(store_root)
     proc = _serve_process(store_root)
@@ -390,27 +415,53 @@ def test_sigkill_mid_job_then_restart_finishes_all(tmp_path):
         status, doc = client.submit(relay_doc)
         assert status == 202
         relay_id = doc["job"]["job_id"]
-        expected = {relay_id: json.dumps(relay_body, sort_keys=True)}
+        _wait_solving(client)
+        proc.send_signal(signal.SIGTERM)
+        stdout, stderr = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0, stderr
+    assert json.loads(stdout.splitlines()[-1]) == {"drained": True}
+    record = store.load_job(relay_id)
+    assert record["state"] == "interrupted", record
+    assert record["outcome"] == "partial-interrupt"
+    assert store.load_job_checkpoint(record["fingerprint"]) is not None
+    with _second_life(store_root) as (server, client):
+        final = client.wait(relay_id, timeout_s=120)
+        assert final["job"]["state"] == "done", final["job"]
+        assert final["job"]["resumed"]
+        assert json.dumps(final["result"], sort_keys=True) == relay_body
+    assert store.load_job_checkpoint(record["fingerprint"]) is None
+    _assert_served_in_ledger(store, [relay_id])
+
+
+def test_sigkill_mid_job_then_restart_finishes_all(tmp_path):
+    """SIGKILL a server mid-job; a restart finishes every job.
+
+    Workers are threads, so the real crash is the whole process dying,
+    with no drain.  The killed job's record still reads ``running`` and
+    it left no checkpoint, so the next server life re-runs it from its
+    start; the queued jobs behind it are recovered untouched.  Every
+    accepted job must reach ``done`` byte-identical to the direct solve.
+    """
+    relay_doc, relay_body = _relay_job(5)
+    store_root = str(tmp_path / "store")
+    store = ResultStore(store_root)
+    proc = _serve_process(store_root)
+    try:
+        serving = json.loads(proc.stdout.readline())
+        client = ServeClient("127.0.0.1", serving["serving"]["port"])
+        status, doc = client.submit(relay_doc)
+        assert status == 202
+        relay_id = doc["job"]["job_id"]
+        expected = {relay_id: relay_body}
         for seed in (110, 111, 112, 113):
             status, doc = client.submit(solve_doc(seed))
             assert status == 202
             expected[doc["job"]["job_id"]] = canonical(seed)
-        # the server marks a job running before it persists that state,
-        # and SIGKILL leaves only what is on disk: wait for both
-        deadline = time.monotonic() + 60
-        for state_of in (
-            lambda: client.job(relay_id)["job"]["state"],
-            lambda: store.load_job(relay_id)["state"],
-        ):
-            state = state_of()
-            while state == "queued" and time.monotonic() < deadline:
-                time.sleep(0.05)
-                state = state_of()
-            if state != "running":
-                pytest.fail(
-                    f"the k=5 relay job read {state!r}, never 'running' "
-                    f"at the kill; no mid-job crash was exercised"
-                )
+        _wait_solving(client)
         proc.send_signal(signal.SIGKILL)
         proc.communicate(timeout=30)
     finally:

@@ -65,13 +65,10 @@ class TestQueries:
         spec = make()
         assert spec.successors(0, "a") == frozenset([1])
         assert spec.successors(1, "a") == frozenset()
-        assert spec.predecessors(1, "a") == frozenset([0])
-        assert spec.predecessors(0, "a") == frozenset()
 
     def test_internal_adjacency(self):
         spec = make()
         assert spec.internal_successors(1) == frozenset([0])
-        assert spec.internal_predecessors(0) == frozenset([1])
         assert spec.has_internal(1)
         assert not spec.has_internal(0)
 
