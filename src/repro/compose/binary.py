@@ -23,6 +23,8 @@ external) used by verification procedures.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .. import obs
@@ -64,7 +66,9 @@ def compose(
     """
     from ..quotient.budget import make_meter
 
-    composite_name = name if name is not None else f"({left.name}||{right.name})"
+    composite_name = (
+        name if name is not None else composite_name_of(left, right)
+    )
     shared = shared_events(left.alphabet, right.alphabet)
     alphabet = composition_alphabet(left.alphabet, right.alphabet)
     meter = make_meter(budget, "compose", interrupt)
@@ -72,9 +76,9 @@ def compose(
     with obs.span("compose", left=left.name, right=right.name) as sp:
         if reachable_only:
             if kernel_enabled():
-                result = _compose_reachable_kernel(
-                    left, right, composite_name, shared, alphabet, meter
-                )
+                result = _ReachableProduct(
+                    left, right, alphabet, meter
+                ).decode(composite_name)
             else:
                 result = _compose_reachable(
                     left, right, composite_name, shared, alphabet, meter
@@ -83,15 +87,55 @@ def compose(
             result = _compose_full(
                 left, right, composite_name, shared, alphabet, meter
             )
-        product = len(left.states) * len(right.states)
-        sp.set(product_states=product, reachable_states=len(result.states))
-        obs.add("compose.calls", 1)
-        obs.add("compose.product_states", product)
-        obs.add("compose.reachable_states", len(result.states))
-        obs.add(
-            "compose.transitions", len(result.external) + len(result.internal)
+        _record(
+            sp, left, right, len(result.states),
+            len(result.external) + len(result.internal),
         )
     return result
+
+
+def compiled_product(
+    left: Specification,
+    right: Specification,
+    *,
+    budget: Budget | None = None,
+    interrupt: "InterruptController | None" = None,
+) -> CompiledSpec:
+    """The reachable part of ``left ‖ right`` as a :class:`CompiledSpec`.
+
+    The same exploration, charges, ``compose`` span and ``compose.*``
+    counters as :func:`compose`, but the composite is tabulated straight
+    from pair codes: no labelled :class:`Specification` is built, and the
+    result never enters the compile cache.  Its ids follow the
+    composite's canonical order, so a walk over it visits states exactly
+    as a walk over ``compiled(compose(left, right))`` does.
+    """
+    from ..quotient.budget import make_meter
+
+    alphabet = composition_alphabet(left.alphabet, right.alphabet)
+    meter = make_meter(budget, "compose", interrupt)
+    with obs.span("compose", left=left.name, right=right.name) as sp:
+        view, transitions = _ReachableProduct(
+            left, right, alphabet, meter
+        ).tabulate()
+        _record(sp, left, right, view.n_states, transitions)
+    return view
+
+
+def composite_name_of(left: Specification, right: Specification) -> str:
+    """The name :func:`compose` gives ``left ‖ right`` by default."""
+    return f"({left.name}||{right.name})"
+
+
+def _record(sp, left: Specification, right: Specification,
+            reachable: int, transitions: int) -> None:
+    """Set the ``compose`` span's sizes and add the ``compose.*`` counters."""
+    product = len(left.states) * len(right.states)
+    sp.set(product_states=product, reachable_states=reachable)
+    obs.add("compose.calls", 1)
+    obs.add("compose.product_states", product)
+    obs.add("compose.reachable_states", reachable)
+    obs.add("compose.transitions", transitions)
 
 
 def _moves(
@@ -168,114 +212,191 @@ def _compose_reachable(
     return Specification(name, states, alphabet, external, internal, initial)
 
 
-def _compose_reachable_kernel(
-    left: Specification,
-    right: Specification,
-    name: str,
-    shared: Alphabet,
-    alphabet: Alphabet,
-    meter: "BudgetMeter | None" = None,
-) -> Specification:
-    """Reachable composition over interned ``(int, int)`` pair codes.
+class _ReachableProduct:
+    """The reachable part of ``left ‖ right``, explored over pair codes.
 
-    Explores the product over dense integers (pair code ``ia * |S_R| + ib``)
-    and decodes back to the labeled ``(a, b)`` states only at the boundary.
-    The resulting specification is identical to :func:`_compose_reachable`'s
-    (states, transitions, and initial are *sets* — exploration order cannot
-    leak into the value).
+    A product state ``(a, b)`` is the int ``ia * |S_R| + ib`` over the ids
+    of ``compiled(left)`` and ``compiled(right)``.  Construction runs the
+    depth-first exploration, charging one ``states`` unit per discovered
+    state, and records the transitions as flat edge lists: ``ext_edges``
+    holds ``(source, event id, target)`` code triples, the event id
+    indexing the sorted composite alphabet ``events``; ``int_edges`` holds
+    ``(source, target)`` pairs for λ steps and synchronized shared events
+    (self-loops dropped, repeats kept).  Each state's edges are contiguous
+    in both lists.  :meth:`decode` builds the labelled composite from
+    them, :meth:`tabulate` the compiled one.
     """
-    cl: CompiledSpec = compiled(left)
-    cr: CompiledSpec = compiled(right)
-    nr = cr.n_states
-    shared_l = cl.encode_events(shared)
-    shared_r = cr.encode_events(shared)
-    shared_pairs = [(cl.event_index[e], cr.event_index[e]) for e in shared]
-    levents, revents = cl.events, cr.events
 
-    initial = cl.initial * nr + cr.initial
-    seen = {initial}
-    stack = [initial]
-    if meter is not None:
-        meter.charge(states=1, frontier=1)
-    ext_edges: list[tuple[int, str, int]] = []
-    int_edges: list[tuple[int, int]] = []
-    while stack:
-        code = stack.pop()
-        ia, ib = divmod(code, nr)
-        base_a = ia * nr
-        for eid, targets in cl.ext_moves[ia]:
-            if shared_l >> eid & 1:
-                continue
-            e = levents[eid]
-            for ta in targets:
-                t = ta * nr + ib
-                ext_edges.append((code, e, t))
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-                    if meter is not None:
-                        meter.charge(states=1, frontier=len(stack))
-        for eid, targets in cr.ext_moves[ib]:
-            if shared_r >> eid & 1:
-                continue
-            e = revents[eid]
-            for tb in targets:
-                t = base_a + tb
-                ext_edges.append((code, e, t))
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-                    if meter is not None:
-                        meter.charge(states=1, frontier=len(stack))
-        for ta in cl.int_succ[ia]:
-            t = ta * nr + ib
-            if t != code:
-                int_edges.append((code, t))
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-                if meter is not None:
-                    meter.charge(states=1, frontier=len(stack))
-        for tb in cr.int_succ[ib]:
-            t = base_a + tb
-            if t != code:
-                int_edges.append((code, t))
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-                if meter is not None:
-                    meter.charge(states=1, frontier=len(stack))
-        ext_a = cl.ext_by_eid[ia]
-        ext_b = cr.ext_by_eid[ib]
-        for leid, reid in shared_pairs:
-            lts = ext_a.get(leid)
-            if not lts:
-                continue
-            rts = ext_b.get(reid)
-            if not rts:
-                continue
-            for ta in lts:
-                ta_base = ta * nr
-                for tb in rts:
-                    t = ta_base + tb
-                    if t != code:
-                        int_edges.append((code, t))
+    __slots__ = (
+        "cl", "cr", "alphabet", "events", "initial", "reachable",
+        "ext_edges", "int_edges",
+    )
+
+    def __init__(
+        self,
+        left: Specification,
+        right: Specification,
+        alphabet: Alphabet,
+        meter: "BudgetMeter | None",
+    ) -> None:
+        cl: CompiledSpec = compiled(left)
+        cr: CompiledSpec = compiled(right)
+        self.cl, self.cr, self.alphabet = cl, cr, alphabet
+        self.events = events = tuple(sorted(alphabet))
+        event_id = {e: j for j, e in enumerate(events)}
+        # component event id -> composite event id; -1 marks a shared event
+        lmap = [event_id.get(e, -1) for e in cl.events]
+        rmap = [event_id.get(e, -1) for e in cr.events]
+        # by event name, as the labelled exploration orders them, so both
+        # paths push the same stack (and a budget trips at the same frontier)
+        shared_pairs = [
+            (cl.event_index[e], cr.event_index[e])
+            for e in sorted(shared_events(left.alphabet, right.alphabet))
+        ]
+        nr = cr.n_states
+
+        self.initial = initial = cl.initial * nr + cr.initial
+        seen = {initial}
+        stack = [initial]
+        if meter is not None:
+            meter.charge(states=1, frontier=1)
+        ext_edges: list[tuple[int, int, int]] = []
+        int_edges: list[tuple[int, int]] = []
+        while stack:
+            code = stack.pop()
+            ia, ib = divmod(code, nr)
+            base_a = ia * nr
+            for eid, targets in cl.ext_moves[ia]:
+                ceid = lmap[eid]
+                if ceid < 0:
+                    continue
+                for ta in targets:
+                    t = ta * nr + ib
+                    ext_edges.append((code, ceid, t))
                     if t not in seen:
                         seen.add(t)
                         stack.append(t)
                         if meter is not None:
                             meter.charge(states=1, frontier=len(stack))
+            for eid, targets in cr.ext_moves[ib]:
+                ceid = rmap[eid]
+                if ceid < 0:
+                    continue
+                for tb in targets:
+                    t = base_a + tb
+                    ext_edges.append((code, ceid, t))
+                    if t not in seen:
+                        seen.add(t)
+                        stack.append(t)
+                        if meter is not None:
+                            meter.charge(states=1, frontier=len(stack))
+            # a component's λ steps never loop (Specification drops λ
+            # self-loops), so only synchronized events can return to code
+            for ta in cl.int_succ[ia]:
+                t = ta * nr + ib
+                int_edges.append((code, t))
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+                    if meter is not None:
+                        meter.charge(states=1, frontier=len(stack))
+            for tb in cr.int_succ[ib]:
+                t = base_a + tb
+                int_edges.append((code, t))
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+                    if meter is not None:
+                        meter.charge(states=1, frontier=len(stack))
+            ext_a = cl.ext_by_eid[ia]
+            ext_b = cr.ext_by_eid[ib]
+            for leid, reid in shared_pairs:
+                lts = ext_a.get(leid)
+                if not lts:
+                    continue
+                rts = ext_b.get(reid)
+                if not rts:
+                    continue
+                for ta in lts:
+                    ta_base = ta * nr
+                    for tb in rts:
+                        t = ta_base + tb
+                        if t != code:
+                            int_edges.append((code, t))
+                        if t not in seen:
+                            seen.add(t)
+                            stack.append(t)
+                            if meter is not None:
+                                meter.charge(states=1, frontier=len(stack))
+        self.reachable = seen
+        self.ext_edges = ext_edges
+        self.int_edges = int_edges
 
-    lstates, rstates = cl.states, cr.states
-    label = {c: (lstates[c // nr], rstates[c % nr]) for c in seen}
-    return Specification(
-        name,
-        label.values(),
-        alphabet,
-        ((label[s], e, label[t]) for s, e, t in ext_edges),
-        ((label[s], label[t]) for s, t in int_edges),
-        label[initial],
-    )
+    def decode(self, name: str) -> Specification:
+        """The labelled composite, states ``(a, b)``.
+
+        Identical to :func:`_compose_reachable`'s result: states and
+        transitions are *sets*, so exploration order cannot leak in.
+        """
+        nr = self.cr.n_states
+        lstates, rstates = self.cl.states, self.cr.states
+        events = self.events
+        label = {c: (lstates[c // nr], rstates[c % nr]) for c in self.reachable}
+        return Specification(
+            name,
+            label.values(),
+            self.alphabet,
+            ((label[s], events[e], label[t]) for s, e, t in self.ext_edges),
+            ((label[s], label[t]) for s, t in self.int_edges),
+            label[self.initial],
+        )
+
+    def tabulate(self) -> tuple[CompiledSpec, int]:
+        """The composite as a compiled spec, and its transition count.
+
+        Ids follow the composite's canonical order (its states sorted by
+        :func:`_state_sort_key`), events are ids into the sorted
+        alphabet, and targets ascend: the tables ``compiled()`` would
+        build from :meth:`decode`'s result.  The count is the labelled
+        composite's ``|T| + |λ|`` (repeated λ edges counted once).
+        """
+        cl, cr = self.cl, self.cr
+        nr = cr.n_states
+        # repr((a, b)) == "(" + repr(a) + ", " + repr(b) + ")", and every
+        # label is a tuple, so this key orders codes as _state_sort_key
+        # orders their labels while computing each component repr once
+        lrepr = [repr(s) for s in cl.states]
+        rrepr = [repr(s) for s in cr.states]
+        order = sorted(
+            self.reachable,
+            key=lambda c: "(" + lrepr[c // nr] + ", " + rrepr[c % nr] + ")",
+        )
+        ident = {c: i for i, c in enumerate(order)}
+        n = len(order)
+        ext_moves: list[tuple[tuple[int, tuple[int, ...]], ...]] = [()] * n
+        for s, edges in groupby(self.ext_edges, key=itemgetter(0)):
+            row: list[tuple[int, tuple[int, ...]]] = []
+            last = -1
+            for e, t in sorted([(e, ident[t]) for _, e, t in edges]):
+                if e == last:
+                    row[-1] = (e, row[-1][1] + (t,))
+                else:
+                    row.append((e, (t,)))
+                    last = e
+            ext_moves[ident[s]] = tuple(row)
+        int_succ: list[tuple[int, ...]] = [()] * n
+        for s, edges in groupby(self.int_edges, key=itemgetter(0)):
+            int_succ[ident[s]] = tuple(sorted({ident[t] for _, t in edges}))
+        transitions = len(self.ext_edges) + sum(map(len, int_succ))
+        lstates, rstates = cl.states, cr.states
+        view = CompiledSpec.from_tables(
+            states=tuple((lstates[c // nr], rstates[c % nr]) for c in order),
+            events=self.events,
+            initial=ident[self.initial],
+            ext_moves=tuple(ext_moves),
+            int_succ=tuple(int_succ),
+        )
+        return view, transitions
 
 
 def _compose_full(

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .. import obs
-from ..compose.binary import compose
 from ..compose.nary import compose_many
 from ..errors import (
     BudgetExceeded,
@@ -55,7 +54,7 @@ from ..persist.checkpoint import (
 from ..persist.store import load_checkpoint, save_checkpoint
 from ..quotient.budget import Budget
 from ..quotient.solve import solve_quotient
-from ..satisfy.verify import satisfies
+from ..satisfy.verify import product_satisfies
 from ..spec.spec import Specification
 from ..traces.core import Trace, format_trace
 from .models import FaultModel, fault_model
@@ -313,8 +312,9 @@ def _evaluate_cell(
             budget=budget,
             interrupt=interrupt,
         )
-        impl = compose(composite_b, converter, budget=budget, interrupt=interrupt)
-        report = satisfies(impl, service)
+        report = product_satisfies(
+            composite_b, converter, service, budget=budget, interrupt=interrupt
+        )
     except InterruptRequested:
         # interruption ends the whole sweep (the caller checkpoints the
         # completed cells); never degrade it into a per-cell verdict

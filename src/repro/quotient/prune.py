@@ -27,8 +27,7 @@ converter is exactly as trustworthy as the original.
 from __future__ import annotations
 
 from .. import obs
-from ..compose.binary import compose
-from ..satisfy.verify import satisfies
+from ..satisfy.verify import product_satisfies
 from ..spec.minimize import minimize_deterministic
 from ..spec.ops import prune_unreachable, remove_states
 from ..spec.spec import Specification, State, _state_sort_key
@@ -72,8 +71,9 @@ def minimize_converter(
     current = converter
 
     def still_correct(candidate: Specification) -> bool:
-        composite = compose(problem.component, candidate)
-        return satisfies(composite, problem.service).holds
+        return product_satisfies(
+            problem.component, candidate, problem.service
+        ).holds
 
     for _ in range(max_passes):
         improved = False
@@ -114,8 +114,7 @@ def prune_converter(
             "quotient.prune.states_removed",
             len(converter.states) - len(pruned.states),
         )
-    composite = compose(problem.component, pruned)
-    report = satisfies(composite, problem.service)
+    report = product_satisfies(problem.component, pruned, problem.service)
     if not report.holds:  # pragma: no cover - internal consistency guard
         raise AssertionError(
             "pruning broke the converter:\n" + report.describe()

@@ -14,10 +14,9 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable
 
 from .. import obs
-from ..compose.binary import compose
 from ..errors import BudgetExceeded, InterruptRequested, QuotientError
 from ..lint.engine import lint_checkpoint, preflight_quotient
-from ..satisfy.verify import SatisfactionReport, satisfies
+from ..satisfy.verify import SatisfactionReport, product_satisfies
 from ..spec.ops import prune_unreachable
 from ..spec.spec import Specification, State
 from .budget import Budget
@@ -68,9 +67,9 @@ def solve_quotient(
         ``Σ_B − Σ_A``.
     verify:
         Re-check the returned converter independently via
-        :func:`repro.satisfy.satisfies` (default on).  A verification
-        failure raises :class:`QuotientError` — it would indicate a bug in
-        the solver, never a property of the inputs.
+        :func:`repro.satisfy.verify.product_satisfies` (default on).  A
+        verification failure raises :class:`QuotientError` — it would
+        indicate a bug in the solver, never a property of the inputs.
     preflight:
         Statically lint the problem first (default on): partition
         violations, a non-normal-form service, and similar malformations
@@ -89,7 +88,7 @@ def solve_quotient(
         full graphs; the exploration honors ``budget``.
     budget:
         Optional :class:`~repro.quotient.budget.Budget` bounding the solve.
-        Each phase (safety, progress, the verification composition) gets a
+        Each phase (safety, progress, the verification product) gets a
         fresh meter, so count/time limits apply per phase; exceeding a
         limit raises :class:`~repro.errors.BudgetExceeded` naming the
         interrupted phase and carrying its partial statistics.  A budget
@@ -322,14 +321,18 @@ def verify_converter(
     produced by :func:`solve_quotient` this is an internal-consistency
     failure; for hand-written converters it is the answer to "is this
     converter correct?" (catch the exception or call
-    :func:`repro.satisfy.satisfies` directly for a non-raising check).
-    An optional *budget* bounds the verification composition; an optional
-    *interrupt* lets it be cancelled cooperatively.
+    :func:`repro.satisfy.verify.product_satisfies` directly for a
+    non-raising check).  An optional *budget* bounds the exploration of
+    ``B ‖ converter``; an optional *interrupt* lets it be cancelled
+    cooperatively.
     """
-    composite = compose(
-        problem.component, converter, budget=budget, interrupt=interrupt
+    report = product_satisfies(
+        problem.component,
+        converter,
+        problem.service,
+        budget=budget,
+        interrupt=interrupt,
     )
-    report = satisfies(composite, problem.service)
     if not report.holds:
         raise QuotientError(
             "converter failed independent verification:\n" + report.describe()

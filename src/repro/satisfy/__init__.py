@@ -11,7 +11,7 @@ from .safety import (
     satisfies_safety,
     trace_inclusion_counterexample,
 )
-from .verify import SatisfactionReport, satisfies
+from .verify import SatisfactionReport, product_satisfies, satisfies
 
 __all__ = [
     "ProgressResult",
@@ -19,6 +19,7 @@ __all__ = [
     "SafetyResult",
     "SatisfactionReport",
     "prog",
+    "product_satisfies",
     "satisfies",
     "satisfies_progress",
     "satisfies_safety",

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..events import Alphabet, Event
-from ..spec.compiled import compiled, iter_bits, kernel_enabled
+from ..spec.compiled import CompiledSpec, compiled, kernel_enabled
 from ..spec.graph import close_under_lambda, sink_acceptance_sets, tau_star
 from ..spec.normal_form import assert_normal_form, psi_step
 from ..spec.spec import Specification, State, _state_sort_key
@@ -92,20 +92,17 @@ def prog(
     )
 
 
-def _satisfies_progress_kernel(
-    impl: Specification, service: Specification
-) -> ProgressResult:
-    """The same hub-tracking walk over compiled ids.
+def progress_walk(ci: CompiledSpec, cs: CompiledSpec) -> ProgressResult:
+    """The hub-tracking progress walk over compiled ids.
 
-    ``τ*`` of the implementation, the service's acceptance menus, and the
-    ``ψ``-advance are all table lookups on the compiled forms; the BFS
-    mirrors the labeled walk's visit order exactly, so ``pairs_explored``
-    and any :class:`ProgressViolation` (including the duplicate-preserving
+    *ci* is the implementation, *cs* the normal-form service, with
+    identical interfaces (so their event ids coincide).  ``τ*`` of the
+    implementation, the service's acceptance menus, and the ``ψ``-advance
+    are all table lookups on the compiled forms; the BFS mirrors the
+    labeled walk's visit order exactly, so ``pairs_explored`` and any
+    :class:`ProgressViolation` (including the duplicate-preserving
     ``required`` menu) are identical.
     """
-    ci = compiled(impl)
-    cs = compiled(service)
-    # identical interfaces ⇒ shared event ids between impl and service
     offered_masks = ci.tau_star_masks()
     menus = cs.acceptance_menus()
     psi = cs.psi_table()
@@ -117,7 +114,7 @@ def _satisfies_progress_kernel(
     parent: dict[Pair, tuple[Pair, int | None]] = {}
     seen: set[Pair] = set()
     frontier: list[Pair] = []
-    for b in iter_bits(ci.closure_masks()[ci.initial]):
+    for b in ci.closure_of(ci.initial):
         pair = (b, cs.initial)
         if pair not in seen:
             seen.add(pair)
@@ -194,10 +191,10 @@ def satisfies_progress(
     :func:`repro.satisfy.verify.satisfies` for the combined check; if safety
     does not hold, hub tracking can fail and a :class:`ReproError` results.
     """
-    _check_same_interface(impl, service)
+    _check_same_interface(impl.name, impl.alphabet, service)
     assert_normal_form(service)
     if kernel_enabled():
-        return _satisfies_progress_kernel(impl, service)
+        return progress_walk(compiled(impl), compiled(service))
 
     offered_of = tau_star(impl)
     accept_cache: dict[State, list[Alphabet]] = {}

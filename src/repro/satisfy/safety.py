@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import AlphabetError
-from ..events import Event
-from ..spec.compiled import compiled, iter_bits, kernel_enabled
+from ..events import Alphabet, Event
+from ..spec.compiled import CompiledSpec, compiled, iter_bits, kernel_enabled
 from ..spec.graph import close_under_lambda
 from ..spec.spec import Specification, State, _state_sort_key
 from ..traces.core import Trace, format_trace
@@ -50,29 +50,29 @@ class SafetyResult:
         )
 
 
-def _check_same_interface(impl: Specification, service: Specification) -> None:
-    if impl.alphabet != service.alphabet:
+def _check_same_interface(
+    impl_name: str, impl_alphabet: Alphabet, service: Specification
+) -> None:
+    """Raise :class:`AlphabetError` unless the interfaces are identical."""
+    if impl_alphabet != service.alphabet:
         raise AlphabetError(
             "satisfaction requires identical interfaces: "
-            f"{impl.name} has {impl.alphabet.sorted()}, "
+            f"{impl_name} has {impl_alphabet.sorted()}, "
             f"{service.name} has {service.alphabet.sorted()}"
         )
 
 
-def _satisfies_safety_kernel(
-    impl: Specification, service: Specification
-) -> SafetyResult:
-    """The same product walk over compiled ids and subset bitmasks.
+def safety_walk(ci: CompiledSpec, cs: CompiledSpec) -> SafetyResult:
+    """The safety product walk over compiled ids and subset bitmasks.
 
-    The implementation state is an int id; the service subset is an int
-    bitmask over service state ids.  Loop structure and visit order mirror
-    the labeled walk exactly (ascending ids ≡ the sorted-state order,
-    ascending event ids ≡ sorted events), so ``pairs_explored`` and the
-    counterexample trace are byte-identical.
+    *ci* is the implementation, *cs* the service, with identical
+    interfaces (so their event ids coincide).  The implementation state
+    is an int id; the service subset is an int bitmask over service state
+    ids.  Loop structure and visit order mirror the labeled walk exactly
+    (ascending ids ≡ the sorted-state order, ascending event ids ≡ sorted
+    events), so ``pairs_explored`` and the counterexample trace are
+    byte-identical.
     """
-    ci = compiled(impl)
-    cs = compiled(service)
-    # identical interfaces ⇒ identical sorted event lists ⇒ shared event ids
     closures = cs.closure_masks()
     # per service state: event id → λ-closed successor mask
     step: list[dict[int, int]] = []
@@ -94,7 +94,7 @@ def _satisfies_safety_kernel(
     parent: dict[Pair, tuple[Pair, int | None]] = {}
     seen: set[Pair] = set()
     frontier: list[Pair] = []
-    for b in iter_bits(ci.closure_masks()[ci.initial]):
+    for b in ci.closure_of(ci.initial):
         pair = (b, start_subset)
         if pair not in seen:
             seen.add(pair)
@@ -144,9 +144,9 @@ def satisfies_safety(impl: Specification, service: Specification) -> SafetyResul
 
     Raises :class:`AlphabetError` if the interfaces differ.
     """
-    _check_same_interface(impl, service)
+    _check_same_interface(impl.name, impl.alphabet, service)
     if kernel_enabled():
-        return _satisfies_safety_kernel(impl, service)
+        return safety_walk(compiled(impl), compiled(service))
 
     Pair = tuple[State, frozenset[State]]
     start_subset = close_under_lambda(service, [service.initial])

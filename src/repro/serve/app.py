@@ -33,6 +33,10 @@ re-indents what it prints)::
     POST /gc            run store garbage collection
     POST /shutdown      begin the drain (same path as SIGTERM)
 
+Any request whose ``Content-Length`` is not a decimal number is answered
+400, and one declaring a body over :data:`MAX_BODY_BYTES` is answered 413
+before the body is read.
+
 **Single-flight dedup**: a submission whose fingerprint matches a queued
 or running job returns that job's id (``serve.dedup.joined``) instead of
 computing twice; a fingerprint with a cached complete result returns it
@@ -69,13 +73,20 @@ from .queue import AdmissionQueue
 from .store_index import RECOVERABLE_STATES, ResultStore
 from .workers import DEFAULT_JOB_RETRY, DRAIN_REASON, WorkerSupervisor
 
-__all__ = ["DerivationServer", "TERMINAL_STATES"]
+__all__ = ["DerivationServer", "MAX_BODY_BYTES", "TERMINAL_STATES"]
 
 #: Job states after which a record never changes again.
 TERMINAL_STATES = ("done", "failed", "shed", "interrupted")
 
 #: Progress events retained per job (a bounded tail, newest last).
 PROGRESS_TAIL = 256
+
+#: Largest request body the server reads, in bytes.  A request declaring
+#: a longer ``Content-Length`` is answered 413 before any of its body is
+#: read, so one client cannot make the server buffer what it likes.  The
+#: largest real requests are solve jobs carrying big components: the SEC7
+#: relay at k=6 (a 4096-state component) is 7.4 MiB.
+MAX_BODY_BYTES = 64 * 1024 * 1024
 
 #: Default long-poll ceiling for ``GET /jobs/<id>?wait=1``.
 WAIT_TIMEOUT_S = 30.0
@@ -400,7 +411,22 @@ class DerivationServer:
                     break
                 name, _, value = line.decode("latin-1").partition(":")
                 if name.strip().lower() == "content-length":
-                    length = int(value.strip())
+                    value = value.strip()
+                    if not value.isdecimal():
+                        length = -1
+                    elif len(value.lstrip("0")) > len(str(MAX_BODY_BYTES)):
+                        # over the limit; int() refuses very long strings
+                        length = MAX_BODY_BYTES + 1
+                    else:
+                        length = int(value)
+            if length < 0:
+                status, doc = 400, {"error": "malformed Content-Length"}
+                return
+            if length > MAX_BODY_BYTES:
+                status, doc = 413, {
+                    "error": f"request body exceeds the {MAX_BODY_BYTES}-byte limit"
+                }
+                return
             body = await reader.readexactly(length) if length else b""
             obs.add("serve.http.requests", 1)
             try:
@@ -421,7 +447,8 @@ class DerivationServer:
                 # no indent: it would select the pure-Python encoder
                 payload = json.dumps(doc, sort_keys=True)
                 reason = {200: "OK", 202: "Accepted", 400: "Bad Request",
-                          404: "Not Found", 429: "Too Many Requests",
+                          404: "Not Found", 413: "Content Too Large",
+                          429: "Too Many Requests",
                           503: "Service Unavailable"}.get(status, "Error")
                 writer.write(
                     f"HTTP/1.1 {status} {reason}\r\n"

@@ -25,16 +25,20 @@ object, and compiled objects themselves are memoized in a bounded LRU cache
 keyed on the spec — valid because specifications are immutable, hashable
 value objects.
 
-The kernel runs in five places, each of which a benchmark workload
+The kernel runs in six places, each of which a benchmark workload
 measures: :func:`~repro.compose.binary.compose`,
 :func:`~repro.satisfy.safety.satisfies_safety`,
-:func:`~repro.satisfy.progress.satisfies_progress` and the quotient's
-safety and progress phases (:mod:`repro.quotient.kernel`).  Each keeps its
-labeled reference path beside it as the differential oracle;
-:func:`use_kernel` forces those paths.  Both produce *identical* results —
-the compiled exploration decodes back to the same labeled specifications
-at the boundary (see ``tests/test_compiled_kernel.py`` and
-``docs/performance.md``).
+:func:`~repro.satisfy.progress.satisfies_progress`, the quotient's
+safety and progress phases (:mod:`repro.quotient.kernel`), and
+:func:`~repro.satisfy.verify.product_satisfies`, which checks ``B ‖ C``
+against the service on a compiled view of the product that
+:meth:`CompiledSpec.from_tables` builds straight from pair codes (such
+views never enter the cache below).  Each keeps its labeled reference
+path beside it as the differential oracle; :func:`use_kernel` forces
+those paths.  Both produce *identical* results — the compiled
+explorations decode back to the same labeled specifications, verdicts
+and counterexamples at the boundary (see ``tests/test_compiled_kernel.py``
+and ``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -137,39 +141,77 @@ class CompiledSpec:
     )
 
     def __init__(self, spec: Specification) -> None:
-        self.source = spec
         order = spec.sorted_by_rank(spec.states)
-        self.states = tuple(order)
-        self.index = {s: i for i, s in enumerate(order)}
-        self.events = tuple(sorted(spec.alphabet))
-        self.event_index = {e: j for j, e in enumerate(self.events)}
-        self.initial = self.index[spec.initial]
-        self.n_states = len(self.states)
-        self.n_events = len(self.events)
-
-        index = self.index
-        event_index = self.event_index
+        index = {s: i for i, s in enumerate(order)}
+        events = tuple(sorted(spec.alphabet))
+        event_index = {e: j for j, e in enumerate(events)}
         ext_moves: list[tuple[tuple[int, tuple[int, ...]], ...]] = []
-        ext_by_eid: list[dict[int, tuple[int, ...]]] = []
         int_succ: list[tuple[int, ...]] = []
-        enabled_mask: list[int] = []
         for s in order:
             moves: list[tuple[int, tuple[int, ...]]] = []
-            mask = 0
             for e in sorted(spec.enabled(s)):
-                eid = event_index[e]
                 targets = tuple(sorted(index[t] for t in spec.successors(s, e)))
-                moves.append((eid, targets))
-                mask |= 1 << eid
+                moves.append((event_index[e], targets))
             ext_moves.append(tuple(moves))
-            ext_by_eid.append({eid: targets for eid, targets in moves})
             int_succ.append(
                 tuple(sorted(index[t] for t in spec.internal_successors(s)))
             )
+        self._set_tables(
+            spec, tuple(order), events, index[spec.initial],
+            tuple(ext_moves), tuple(int_succ),
+        )
+        self.index = index
+        self.ext_by_eid = tuple(
+            {eid: targets for eid, targets in moves} for moves in self.ext_moves
+        )
+
+    @classmethod
+    def from_tables(
+        cls,
+        *,
+        states: tuple[State, ...],
+        events: tuple[Event, ...],
+        initial: int,
+        ext_moves: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...],
+        int_succ: tuple[tuple[int, ...], ...],
+    ) -> "CompiledSpec":
+        """A compiled spec with no source specification.
+
+        For a product that is walked but never built as a
+        :class:`Specification` (:func:`repro.compose.binary.compiled_product`).
+        The tables must follow the orders documented on the class.  Only
+        what a walk over the machine reads is set: ``source`` is ``None``
+        and ``index`` and ``ext_by_eid`` are absent, so such an object must
+        not be composed or solved against.
+        """
+        self = cls.__new__(cls)
+        self._set_tables(None, states, events, initial, ext_moves, int_succ)
+        return self
+
+    def _set_tables(
+        self,
+        source: Specification | None,
+        states: tuple[State, ...],
+        events: tuple[Event, ...],
+        initial: int,
+        ext_moves: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...],
+        int_succ: tuple[tuple[int, ...], ...],
+    ) -> None:
+        self.source = source
+        self.states = states
+        self.events = events
+        self.event_index = {e: j for j, e in enumerate(events)}
+        self.initial = initial
+        self.n_states = len(states)
+        self.n_events = len(events)
+        self.ext_moves = ext_moves
+        self.int_succ = int_succ
+        enabled_mask: list[int] = []
+        for moves in ext_moves:
+            mask = 0
+            for eid, _ in moves:
+                mask |= 1 << eid
             enabled_mask.append(mask)
-        self.ext_moves = tuple(ext_moves)
-        self.ext_by_eid = tuple(ext_by_eid)
-        self.int_succ = tuple(int_succ)
         self.enabled_mask = tuple(enabled_mask)
         self._memo: dict[str, object] = {}
 
@@ -193,6 +235,22 @@ class CompiledSpec:
         for e in events:
             mask |= 1 << event_index[e]
         return mask
+
+    def closure_of(self, state: int) -> list[int]:
+        """``λ*`` of one state as ascending ids.
+
+        A depth-first walk from *state*: unlike :meth:`closure_masks`, it
+        builds no table for the whole machine.
+        """
+        int_succ = self.int_succ
+        seen = {state}
+        stack = [state]
+        while stack:
+            for t in int_succ[stack.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        return sorted(seen)
 
     # ------------------------------------------------------------------
     # memoized whole-spec analyses

@@ -15,6 +15,10 @@ Coverage:
   converter, ``f`` maps, phase records);
 * ``satisfies_safety`` / ``satisfies_progress`` (verdict, counterexample /
   violation, pairs explored);
+* ``product_satisfies`` against ``satisfies(compose(...))`` on the
+  solver's, random and mutated converters (report, ``compose.*`` and
+  ``satisfy.*`` counters, budget trips, error order), and
+  ``compiled_product``'s tables against ``compiled(compose(...))``;
 * the compiled spec's memoized analyses (λ*, τ*, sinks, acceptance menus,
   ψ) decoded against the labeled graph functions;
 * compile-cache behaviour (LRU bound, structural sharing, obs counters,
@@ -27,6 +31,8 @@ Hypothesis example counts across the differential tests sum to well over
 
 from __future__ import annotations
 
+import collections
+import itertools
 import os
 import random
 import subprocess
@@ -39,13 +45,20 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.compose import compose, compose_many
-from repro.quotient import QuotientProblem, solve_quotient
+from repro.compose.binary import compiled_product
+from repro.errors import BudgetExceeded, ReproError
+from repro.quotient import Budget, QuotientProblem, solve_quotient
 from repro.quotient.kernel import (
     PROBLEM_CACHE_MAXSIZE,
     compiled_problem,
     problem_cache_clear,
 )
-from repro.satisfy import satisfies_progress, satisfies_safety
+from repro.satisfy import (
+    product_satisfies,
+    satisfies,
+    satisfies_progress,
+    satisfies_safety,
+)
 from repro.spec import (
     CompiledSpec,
     SpecBuilder,
@@ -66,6 +79,7 @@ from repro.spec import (
     use_kernel,
 )
 from repro.spec.compiled import CACHE_MAXSIZE, iter_bits
+from repro.spec.compiled import _CACHE as _COMPILE_CACHE
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -163,6 +177,7 @@ def _quotient_fingerprint(result):
             result.progress.spec,
             result.progress.rounds,
         ),
+        result.verification,
     )
 
 
@@ -250,6 +265,182 @@ class TestSatisfyDifferential:
         with use_kernel(False):
             slow = _outcome(lambda: satisfies_progress(impl, service))
         assert fast == slow
+
+
+# ----------------------------------------------------------------------
+# differential: "B ‖ C satisfies A" without the labelled composite
+# ----------------------------------------------------------------------
+CONVERTER_KINDS = ("solver", "random", "mutated")
+
+
+def _solved_instance(seed: int):
+    """The first random instance from *seed* on that has a converter."""
+    for s in itertools.count(seed):
+        service, component, int_events, _ = random_quotient_instance(seed=s)
+        result = solve_quotient(
+            service, component, int_events=int_events, verify=False
+        )
+        if result.exists:
+            return service, component, int_events, result.converter
+
+
+def _converter_case(seed: int, kind: str):
+    """``(service, component, converter)``, the converter drawn by *kind*.
+
+    ``solver`` is the solver's converter, which passes; ``random`` is a
+    random spec over Int, which mostly fails safety; ``mutated`` is the
+    solver's converter with one transition dropped or retargeted, which
+    fails safety or progress (or still passes).
+    """
+    rng = random.Random(seed)
+    if kind == "random":
+        service, component, int_events, _ = random_quotient_instance(seed=seed)
+        converter = random_spec(
+            n_states=rng.randint(1, 4), events=int_events, seed=seed, name="X"
+        )
+        return service, component, converter
+    service, component, int_events, converter = _solved_instance(seed)
+    if kind == "mutated" and converter.external:
+        edges = sorted(converter.external)
+        victim = edges.pop(rng.randrange(len(edges)))
+        if rng.random() < 0.5:
+            source, event, _ = victim
+            edges.append((source, event, rng.choice(sorted(converter.states))))
+        converter = Specification(
+            "X'", converter.states, converter.alphabet, edges,
+            converter.internal, converter.initial,
+        )
+    return service, component, converter
+
+
+def _counted(check):
+    """*check*'s outcome with the ``compose.*`` and ``satisfy.*`` counters.
+
+    A budget trip is compared by phase, limit and partial counts
+    (``elapsed_s`` is machine-dependent and dropped).
+    """
+    with obs.use_collector(obs.MetricsCollector()) as collector:
+        try:
+            outcome = ("ok", check())
+        except BudgetExceeded as exc:
+            partial = dict(exc.partial)
+            partial.pop("elapsed_s")
+            outcome = ("budget", exc.phase, exc.limit, partial)
+        except ReproError as exc:
+            outcome = ("raise", type(exc).__name__, str(exc))
+    counters = {
+        name: value
+        for name, value in collector.snapshot().counters.items()
+        if name.startswith(("compose.", "satisfy."))
+    }
+    return outcome, counters
+
+
+def _both_paths(component, converter, service, budget=None):
+    """``(kernel, labelled reference)`` outcomes of one product check."""
+    with use_kernel(True):
+        fast = _counted(
+            lambda: product_satisfies(
+                component, converter, service, budget=budget
+            )
+        )
+    with use_kernel(False):
+        slow = _counted(
+            lambda: satisfies(
+                compose(component, converter, budget=budget), service
+            )
+        )
+    return fast, slow
+
+
+class TestProductSatisfiesDifferential:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=SEEDS,
+        kind=st.sampled_from(CONVERTER_KINDS),
+        limit=st.one_of(st.none(), st.integers(min_value=1, max_value=30)),
+    )
+    def test_matches_the_labelled_composite(self, seed, kind, limit):
+        service, component, converter = _converter_case(seed, kind)
+        budget = None if limit is None else Budget(max_states=limit)
+        fast, slow = _both_paths(component, converter, service, budget)
+        assert fast == slow
+
+    def test_failing_converters_occur_and_match(self):
+        verdicts = collections.Counter()
+        for seed in range(40):
+            for kind in ("random", "mutated"):
+                service, component, converter = _converter_case(seed, kind)
+                fast, slow = _both_paths(component, converter, service)
+                assert fast == slow
+                report = fast[0][1]
+                if not report.safety.holds:
+                    verdicts["safety"] += 1
+                elif not report.holds:
+                    verdicts["progress"] += 1
+                    assert report.progress.violation is not None
+                else:
+                    verdicts["holds"] += 1
+        assert verdicts["safety"] > 0, verdicts
+        assert verdicts["progress"] > 0, verdicts
+
+    def test_errors_follow_the_exploration(self):
+        service, component, _, converter = _solved_instance(0)
+        # a converter over another alphabet: AlphabetError naming the
+        # composite, raised after its states were explored and counted
+        stray = Specification(
+            "Y", converter.states, set(converter.alphabet) | {"zz"},
+            converter.external, converter.internal, converter.initial,
+        )
+        fast, slow = _both_paths(component, stray, service)
+        assert fast == slow
+        assert fast[0][:2] == ("raise", "AlphabetError")
+        assert fast[1]["compose.reachable_states"] > 0
+        # a service out of normal form that the composite still satisfies
+        # for safety: NormalFormError from the progress check
+        split = SpecBuilder("S")
+        for s, e, t in service.external:
+            split.external(s, e, t)
+            split.external(s, e, ("copy", t))
+        for s, e, t in service.external:
+            split.external(("copy", s), e, t)
+        nondeterministic = split.initial(service.initial).build()
+        fast, slow = _both_paths(component, converter, nondeterministic)
+        assert fast == slow
+        assert fast[0][:2] == ("raise", "NormalFormError")
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=SEEDS, size=SIZES)
+    def test_compiled_product_tables_match_compiled_composite(self, seed, size):
+        left = random_spec(
+            n_states=size, events=["a", "b", "s"], internal_density=0.2,
+            seed=seed,
+        )
+        right = random_spec(
+            n_states=size + 1, events=["s", "t", "c"], internal_density=0.2,
+            seed=seed + 1,
+        )
+        # mixed state types: repr((a, b)) does not sort like the pair of
+        # component ranks, so the view must sort by the composite's key
+        relabel = {s: (s if s % 2 else f"q{s}") for s in left.states}
+        left = left.map_states(relabel)
+        view = compiled_product(left, right)
+        ref = CompiledSpec(compose(left, right))
+        for name in (
+            "states", "events", "initial", "n_states", "n_events",
+            "ext_moves", "int_succ", "enabled_mask",
+        ):
+            assert getattr(view, name) == getattr(ref, name), name
+        assert view.tau_star_masks() == ref.tau_star_masks()
+
+    def test_kernel_solve_caches_no_composite(self):
+        service, component, int_events, _ = _solved_instance(1)
+        compiled_cache_clear()
+        with use_kernel(True):
+            result = solve_quotient(service, component, int_events=int_events)
+        assert result.verification is not None and result.verification.holds
+        composite = compose(component, result.converter)
+        assert composite not in list(_COMPILE_CACHE)
 
 
 # ----------------------------------------------------------------------

@@ -44,7 +44,7 @@ def _key(result):
         result.safety.explored,
         result.safety.rejected,
         None if result.progress is None else result.progress.rounds,
-        None if result.verification is None else result.verification.holds,
+        result.verification,
     )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import threading
 import time
 
@@ -35,6 +36,7 @@ from repro.serve import (
     WorkerSupervisor,
     execute_job,
 )
+from repro.serve.app import MAX_BODY_BYTES
 from repro.serve.workers import DRAIN_REASON
 from repro.spec import random_quotient_instance
 
@@ -590,6 +592,44 @@ class TestServerHTTP:
         status, doc = client.call("POST", "/jobs", {"kind": "nope",
                                                     "payload": {}})
         assert status == 400 and "unknown job kind" in doc["error"]
+
+    @staticmethod
+    def _raw_request(port: int, head: str) -> tuple[int, dict]:
+        """Send *head* (request line and headers only) and read the reply.
+
+        The socket times out if the server waits for a body it was never
+        sent, so a reply proves the request was answered from its headers.
+        """
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(head.encode("latin-1"))
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        status_line, _, rest = reply.partition(b"\r\n")
+        _, _, body = rest.partition(b"\r\n\r\n")
+        return int(status_line.split()[1]), json.loads(body)
+
+    def test_oversized_body_is_refused_before_it_is_read(self, live_server):
+        server, client = live_server()
+        # the last has more digits than int() converts from a string
+        for value in (MAX_BODY_BYTES + 1, "0" * 30 + "9" * 20, "9" * 5000):
+            status, doc = self._raw_request(
+                server.port,
+                f"POST /jobs HTTP/1.1\r\nContent-Length: {value}\r\n\r\n",
+            )
+            assert status == 413
+            assert str(MAX_BODY_BYTES) in doc["error"]
+        assert client.health()["status"] == "ok"
+
+    def test_malformed_content_length_is_a_400(self, live_server):
+        server, client = live_server()
+        for value in ("-1", "12abc", "+5", ""):
+            status, doc = self._raw_request(
+                server.port,
+                f"POST /jobs HTTP/1.1\r\nContent-Length: {value}\r\n\r\n",
+            )
+            assert (status, doc) == (400, {"error": "malformed Content-Length"})
+        assert client.health()["status"] == "ok"
 
     def test_shutdown_drains_cleanly(self, live_server):
         server, client = live_server()
