@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING
 from .. import obs
 from ..errors import CompositionError
 from ..events import Alphabet, composition_alphabet, shared_events
+from ..gcpause import gc_paused
 from ..spec.compiled import CompiledSpec, compiled, kernel_enabled
 from ..spec.spec import Specification, State, _state_sort_key
 
@@ -73,7 +74,9 @@ def compose(
     alphabet = composition_alphabet(left.alphabet, right.alphabet)
     meter = make_meter(budget, "compose", interrupt)
 
-    with obs.span("compose", left=left.name, right=right.name) as sp:
+    with gc_paused(), obs.span(
+        "compose", left=left.name, right=right.name
+    ) as sp:
         if reachable_only:
             if kernel_enabled():
                 result = _ReachableProduct(

@@ -29,6 +29,7 @@ output can be made deterministic in tests.
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 from contextlib import contextmanager
@@ -267,11 +268,56 @@ def current_collector() -> Collector:
 
 
 def set_collector(collector: Collector) -> Collector:
-    """Install *collector* globally; returns the previous one."""
+    """Install *collector* globally; returns the previous one.
+
+    While the installed collector is recording, a :data:`gc.callbacks`
+    hook counts the cyclic collector's work into it (see
+    :func:`_count_collection`); with the null collector it is removed, so
+    an unobserved process pays nothing per collection.
+    """
     global _collector
     previous = _collector
     _collector = collector
+    hooked = _count_collection in gc.callbacks
+    if collector.recording and not hooked:
+        gc.callbacks.append(_count_collection)
+    elif hooked and not collector.recording:
+        gc.callbacks.remove(_count_collection)
     return previous
+
+
+#: ``gc.collections.gen<generation>`` by generation, formatted once.
+_GC_COUNTERS = tuple(f"gc.collections.gen{g}" for g in range(3))
+_gc_started: float | None = None
+
+
+def _count_collection(phase: str, info: dict[str, int]) -> None:
+    """The :data:`gc.callbacks` hook: count one collection and its pause.
+
+    Adds ``gc.collections.gen<generation>`` and ``gc.collect_ms`` to the
+    current collector.  It writes the counter map directly instead of
+    calling ``add``: a collection can start inside a
+    :class:`ThreadSafeCollector` method that holds its lock, and the
+    interpreter runs one collection (both phases) at a time, so only this
+    hook ever updates these two names.  Their values depend on the
+    interpreter's allocation pattern, so :func:`repro.obs.ledger.
+    flatten_work` keeps them out of the deterministic work map.
+    """
+    global _gc_started
+    if phase == "start":
+        _gc_started = time.perf_counter()
+        return
+    collector = _collector
+    started, _gc_started = _gc_started, None
+    if started is None or not isinstance(collector, MetricsCollector):
+        return
+    counters = collector.counters
+    name = _GC_COUNTERS[info["generation"]]
+    counters[name] = counters.get(name, 0) + 1
+    counters["gc.collect_ms"] = (
+        counters.get("gc.collect_ms", 0)
+        + (time.perf_counter() - started) * 1000.0
+    )
 
 
 @contextmanager

@@ -192,13 +192,15 @@ def flatten_work(counters: Mapping[str, Any], prefix: str = "") -> dict[str, flo
 
     Keeps numeric scalars under dotted keys, counts lists (a rounds list
     becomes ``progress.rounds.count``), and drops everything
-    machine-dependent or non-numeric: booleans, strings, ``None``, and
-    any key ending in ``_s`` / ``_ms`` (wall times are never diffed).
+    machine-dependent or non-numeric: booleans, strings, ``None``, any
+    key ending in ``_s`` / ``_ms`` (wall times are never diffed), and the
+    cyclic collector's ``gc.*`` counters, which vary with the Python
+    version.
     """
     flat: dict[str, float] = {}
     for key, value in counters.items():
         name = f"{prefix}{key}"
-        if key.endswith(("_s", "_ms")):
+        if key.endswith(("_s", "_ms")) or name.startswith("gc."):
             continue
         if isinstance(value, bool) or value is None or isinstance(value, str):
             continue

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from .. import obs
 from ..errors import BudgetExceeded, InterruptRequested, QuotientError
+from ..gcpause import gc_paused
 from ..lint.engine import lint_checkpoint, preflight_quotient
 from ..satisfy.verify import SatisfactionReport, product_satisfies
 from ..spec.ops import prune_unreachable
@@ -119,7 +120,7 @@ def solve_quotient(
         pair set.  When an :mod:`repro.obs` collector is recording,
         ``result.stats`` carries the collected metrics snapshot.
     """
-    with obs.span(
+    with gc_paused(), obs.span(
         "solve_quotient", service=service.name, component=component.name
     ) as sp:
         result = _solve(

@@ -31,7 +31,7 @@ from ..spec.graph import close_under_lambda, sink_acceptance_sets, tau_star
 from ..spec.normal_form import assert_normal_form, psi_step
 from ..spec.spec import Specification, State, _state_sort_key
 from ..traces.core import Trace, format_trace
-from .safety import _check_same_interface
+from .safety import _check_same_interface, _trace_to
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,10 @@ def progress_walk(ci: CompiledSpec, cs: CompiledSpec) -> ProgressResult:
     *ci* is the implementation, *cs* the normal-form service, with
     identical interfaces (so their event ids coincide).  ``τ*`` of the
     implementation, the service's acceptance menus, and the ``ψ``-advance
-    are all table lookups on the compiled forms; the BFS mirrors the
-    labeled walk's visit order exactly, so ``pairs_explored`` and any
+    are all table lookups on the compiled forms.  A product pair is the
+    single int ``hub * |impl| + b`` and parent links are ints, so the
+    walk allocates no tuple per pair.  The BFS mirrors the labeled walk's
+    visit order exactly, so ``pairs_explored`` and any
     :class:`ProgressViolation` (including the duplicate-preserving
     ``required`` menu) are identical.
     """
@@ -109,29 +111,22 @@ def progress_walk(ci: CompiledSpec, cs: CompiledSpec) -> ProgressResult:
     events = ci.events
     int_succ = ci.int_succ
     ext_moves = ci.ext_moves
+    n = ci.n_states
+    n_events = len(events)
 
-    Pair = tuple[int, int]
-    parent: dict[Pair, tuple[Pair, int | None]] = {}
-    seen: set[Pair] = set()
-    frontier: list[Pair] = []
+    parent: dict[int, int] = {}  # pair → link (see safety._trace_to)
+    seen: set[int] = set()
+    frontier: list[int] = []
+    start = cs.initial * n
     for b in ci.closure_of(ci.initial):
-        pair = (b, cs.initial)
+        pair = start + b
         if pair not in seen:
             seen.add(pair)
             frontier.append(pair)
 
-    def trace_to(pair: Pair) -> Trace:
-        labels: list[Event] = []
-        while pair in parent:
-            pair, eid = parent[pair]
-            if eid is not None:
-                labels.append(events[eid])
-        labels.reverse()
-        return tuple(labels)
-
-    def make_violation(pair: Pair, extra: int | None) -> ProgressViolation:
-        b, hub = pair
-        trace = trace_to(pair)
+    def make_violation(pair: int, extra: int | None) -> ProgressViolation:
+        hub, b = divmod(pair, n)
+        trace = _trace_to(parent, pair, events)
         if extra is not None:
             trace = trace + (events[extra],)
         return ProgressViolation(
@@ -144,18 +139,20 @@ def progress_walk(ci: CompiledSpec, cs: CompiledSpec) -> ProgressResult:
 
     violation: ProgressViolation | None = None
     while frontier and violation is None:
-        next_frontier: list[Pair] = []
+        next_frontier: list[int] = []
         for pair in frontier:
-            b, hub = pair
+            hub, b = divmod(pair, n)
             offered = offered_masks[b]
             if not any(accept & offered == accept for accept in menus[hub]):
                 violation = make_violation(pair, None)
                 break
+            base = hub * n
+            link = pair * (n_events + 1)
             for b2 in int_succ[b]:
-                nxt = (b2, hub)
+                nxt = base + b2
                 if nxt not in seen:
                     seen.add(nxt)
-                    parent[nxt] = (pair, None)
+                    parent[nxt] = link
                     next_frontier.append(nxt)
             psi_row = psi[hub]
             for eid, targets in ext_moves[b]:
@@ -165,11 +162,13 @@ def progress_walk(ci: CompiledSpec, cs: CompiledSpec) -> ProgressResult:
                     # a safety violation surfacing during progress analysis
                     violation = make_violation(pair, eid)
                     break
+                base2 = hub2 * n
+                via = link + eid + 1
                 for b2 in targets:
-                    nxt = (b2, hub2)
+                    nxt = base2 + b2
                     if nxt not in seen:
                         seen.add(nxt)
-                        parent[nxt] = (pair, eid)
+                        parent[nxt] = via
                         next_frontier.append(nxt)
             if violation is not None:
                 break

@@ -62,16 +62,38 @@ def _check_same_interface(
         )
 
 
+def _trace_to(
+    parent: dict[int, int], pair: int, events: tuple[Event, ...]
+) -> Trace:
+    """The trace of a compiled walk's parent links, from a start to *pair*.
+
+    Both walks code a pair as one int and link each discovered pair to
+    ``parent_pair * (len(events) + 1) + event_id + 1``, or ``+ 0`` for a
+    λ step; a start pair has no link.
+    """
+    stride = len(events) + 1
+    labels: list[Event] = []
+    while pair in parent:
+        pair, via = divmod(parent[pair], stride)
+        if via:
+            labels.append(events[via - 1])
+    labels.reverse()
+    return tuple(labels)
+
+
 def safety_walk(ci: CompiledSpec, cs: CompiledSpec) -> SafetyResult:
-    """The safety product walk over compiled ids and subset bitmasks.
+    """The safety product walk over compiled ids and interned subsets.
 
     *ci* is the implementation, *cs* the service, with identical
-    interfaces (so their event ids coincide).  The implementation state
-    is an int id; the service subset is an int bitmask over service state
-    ids.  Loop structure and visit order mirror the labeled walk exactly
-    (ascending ids ≡ the sorted-state order, ascending event ids ≡ sorted
-    events), so ``pairs_explored`` and the counterexample trace are
-    byte-identical.
+    interfaces (so their event ids coincide).  A service subset is an int
+    bitmask over service state ids, interned to a dense subset id in
+    discovery order, and a product pair is the single int
+    ``subset_id * |impl| + b``; the subset step is memoized per
+    ``(subset id, event)``.  Parent links are ints as well, so the walk
+    allocates no tuple per pair.  Loop structure and visit order mirror
+    the labeled walk exactly (ascending ids ≡ the sorted-state order,
+    ascending event ids ≡ sorted events), so ``pairs_explored`` and the
+    counterexample trace are byte-identical.
     """
     closures = cs.closure_masks()
     # per service state: event id → λ-closed successor mask
@@ -88,52 +110,63 @@ def safety_walk(ci: CompiledSpec, cs: CompiledSpec) -> SafetyResult:
     events = ci.events
     int_succ = ci.int_succ
     ext_moves = ci.ext_moves
-    start_subset = closures[cs.initial]
+    n = ci.n_states
+    n_events = len(events)
+    subsets = [closures[cs.initial]]  # subset id → service-state mask
+    subset_id = {subsets[0]: 0}
+    # subset id * n_events + event id → successor subset id (-1: empty)
+    subset_step: dict[int, int] = {}
 
-    Pair = tuple[int, int]
-    parent: dict[Pair, tuple[Pair, int | None]] = {}
-    seen: set[Pair] = set()
-    frontier: list[Pair] = []
+    parent: dict[int, int] = {}  # pair → link (see _trace_to)
+    seen: set[int] = set()
+    frontier: list[int] = []
     for b in ci.closure_of(ci.initial):
-        pair = (b, start_subset)
-        if pair not in seen:
-            seen.add(pair)
-            frontier.append(pair)
-
-    def trace_to(pair: Pair) -> Trace:
-        labels: list[Event] = []
-        while pair in parent:
-            pair, eid = parent[pair]
-            if eid is not None:
-                labels.append(events[eid])
-        labels.reverse()
-        return tuple(labels)
+        if b not in seen:
+            seen.add(b)
+            frontier.append(b)
 
     while frontier:
-        next_frontier: list[Pair] = []
+        next_frontier: list[int] = []
         for pair in frontier:
-            b, subset = pair
+            sid, b = divmod(pair, n)
+            base = sid * n
+            link = pair * (n_events + 1)
             for b2 in int_succ[b]:
-                nxt = (b2, subset)
+                nxt = base + b2
                 if nxt not in seen:
                     seen.add(nxt)
-                    parent[nxt] = (pair, None)
+                    parent[nxt] = link
                     next_frontier.append(nxt)
             for eid, targets in ext_moves[b]:
-                service_next = 0
-                for i in iter_bits(subset):
-                    service_next |= step[i].get(eid, 0)
-                if not service_next:
+                key = sid * n_events + eid
+                sid2 = subset_step.get(key)
+                if sid2 is None:
+                    service_next = 0
+                    for i in iter_bits(subsets[sid]):
+                        service_next |= step[i].get(eid, 0)
+                    if service_next:
+                        sid2 = subset_id.get(service_next)
+                        if sid2 is None:
+                            sid2 = subset_id[service_next] = len(subsets)
+                            subsets.append(service_next)
+                    else:
+                        sid2 = -1
+                    subset_step[key] = sid2
+                if sid2 < 0:
                     return SafetyResult(
                         holds=False,
-                        counterexample=trace_to(pair) + (events[eid],),
+                        counterexample=(
+                            _trace_to(parent, pair, events) + (events[eid],)
+                        ),
                         pairs_explored=len(seen),
                     )
+                base2 = sid2 * n
+                via = link + eid + 1
                 for b2 in targets:
-                    nxt = (b2, service_next)
+                    nxt = base2 + b2
                     if nxt not in seen:
                         seen.add(nxt)
-                        parent[nxt] = (pair, eid)
+                        parent[nxt] = via
                         next_frontier.append(nxt)
         frontier = next_frontier
     return SafetyResult(holds=True, counterexample=None, pairs_explored=len(seen))

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Callable
 from .. import obs
 from ..compose.binary import compiled_product, compose, composite_name_of
 from ..events import composition_alphabet
+from ..gcpause import gc_paused
 from ..spec.compiled import compiled, kernel_enabled
 from ..spec.normal_form import assert_normal_form
 from ..spec.spec import Specification
@@ -106,22 +107,23 @@ def product_satisfies(
     ``use_kernel(False)`` this is literally the labelled composition and
     check.
     """
-    if not kernel_enabled():
-        composite = compose(left, right, budget=budget, interrupt=interrupt)
-        return satisfies(composite, service)
-    view = compiled_product(left, right, budget=budget, interrupt=interrupt)
-    impl_name = composite_name_of(left, right)
-    alphabet = composition_alphabet(left.alphabet, right.alphabet)
+    with gc_paused():
+        if not kernel_enabled():
+            composite = compose(left, right, budget=budget, interrupt=interrupt)
+            return satisfies(composite, service)
+        view = compiled_product(left, right, budget=budget, interrupt=interrupt)
+        impl_name = composite_name_of(left, right)
+        alphabet = composition_alphabet(left.alphabet, right.alphabet)
 
-    def safety() -> SafetyResult:
-        _check_same_interface(impl_name, alphabet, service)
-        return safety_walk(view, compiled(service))
+        def safety() -> SafetyResult:
+            _check_same_interface(impl_name, alphabet, service)
+            return safety_walk(view, compiled(service))
 
-    def progress() -> ProgressResult:
-        assert_normal_form(service)
-        return progress_walk(view, compiled(service))
+        def progress() -> ProgressResult:
+            assert_normal_form(service)
+            return progress_walk(view, compiled(service))
 
-    return _report(impl_name, service, safety, progress)
+        return _report(impl_name, service, safety, progress)
 
 
 def _report(

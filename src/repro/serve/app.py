@@ -34,8 +34,9 @@ re-indents what it prints)::
     POST /shutdown      begin the drain (same path as SIGTERM)
 
 Any request whose ``Content-Length`` is not a decimal number is answered
-400, and one declaring a body over :data:`MAX_BODY_BYTES` is answered 413
-before the body is read.
+400, one declaring a body over :data:`MAX_BODY_BYTES` is answered 413
+before the body is read, and one with a header line over
+:data:`MAX_HEADER_LINE_BYTES` is answered 431.
 
 **Single-flight dedup**: a submission whose fingerprint matches a queued
 or running job returns that job's id (``serve.dedup.joined``) instead of
@@ -73,7 +74,12 @@ from .queue import AdmissionQueue
 from .store_index import RECOVERABLE_STATES, ResultStore
 from .workers import DEFAULT_JOB_RETRY, DRAIN_REASON, WorkerSupervisor
 
-__all__ = ["DerivationServer", "MAX_BODY_BYTES", "TERMINAL_STATES"]
+__all__ = [
+    "DerivationServer",
+    "MAX_BODY_BYTES",
+    "MAX_HEADER_LINE_BYTES",
+    "TERMINAL_STATES",
+]
 
 #: Job states after which a record never changes again.
 TERMINAL_STATES = ("done", "failed", "shed", "interrupted")
@@ -87,6 +93,11 @@ PROGRESS_TAIL = 256
 #: largest real requests are solve jobs carrying big components: the SEC7
 #: relay at k=6 (a 4096-state component) is 7.4 MiB.
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: Longest request line or header line the server reads, in bytes (the
+#: ``asyncio`` stream reader's limit).  A longer header line is answered
+#: 431 once the rest of the request head has been read and dropped.
+MAX_HEADER_LINE_BYTES = 64 * 1024
 
 #: Default long-poll ceiling for ``GET /jobs/<id>?wait=1``.
 WAIT_TIMEOUT_S = 30.0
@@ -162,6 +173,8 @@ class DerivationServer:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._wake: asyncio.Event | None = None
         self._stopped: asyncio.Event | None = None
+        # open connections: handler task -> its stream writer
+        self._handlers: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self.collector: ThreadSafeCollector | None = None
 
     # ------------------------------------------------------------------
@@ -393,6 +406,15 @@ class DerivationServer:
     # ------------------------------------------------------------------
     # HTTP plumbing
     # ------------------------------------------------------------------
+    def _connected(self, reader: asyncio.StreamReader,
+                   writer: asyncio.StreamWriter) -> None:
+        """Start one connection's handler, tracked until it finishes."""
+        task = asyncio.get_running_loop().create_task(
+            self._handle(reader, writer)
+        )
+        self._handlers[task] = writer
+        task.add_done_callback(self._handlers.pop)
+
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         status: int | None = None
@@ -405,10 +427,19 @@ class DerivationServer:
             status = 500
             method, target = parts[0], parts[1]
             length = 0
+            too_long = False
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # over the reader's limit: drop the rest of the head,
+                    # so the socket closes with nothing unread
+                    too_long = True
+                    continue
                 if line in (b"\r\n", b"\n", b""):
                     break
+                if too_long:
+                    continue
                 name, _, value = line.decode("latin-1").partition(":")
                 if name.strip().lower() == "content-length":
                     value = value.strip()
@@ -419,6 +450,12 @@ class DerivationServer:
                         length = MAX_BODY_BYTES + 1
                     else:
                         length = int(value)
+            if too_long:
+                status, doc = 431, {
+                    "error": "a request header line exceeds the "
+                    f"{MAX_HEADER_LINE_BYTES}-byte limit"
+                }
+                return
             if length < 0:
                 status, doc = 400, {"error": "malformed Content-Length"}
                 return
@@ -439,27 +476,30 @@ class DerivationServer:
                 status, doc = 400, {"error": str(exc)}
         except (asyncio.IncompleteReadError, ConnectionError, ValueError):
             status = None
+        except asyncio.CancelledError:
+            status = None  # ended by the drain: close without a reply
+            raise
         finally:
             try:
-                if status is None:
-                    writer.close()
-                    return
-                # no indent: it would select the pure-Python encoder
-                payload = json.dumps(doc, sort_keys=True)
-                reason = {200: "OK", 202: "Accepted", 400: "Bad Request",
-                          404: "Not Found", 413: "Content Too Large",
-                          429: "Too Many Requests",
-                          503: "Service Unavailable"}.get(status, "Error")
-                writer.write(
-                    f"HTTP/1.1 {status} {reason}\r\n"
-                    f"Content-Type: application/json\r\n"
-                    f"Content-Length: {len(payload.encode('utf-8'))}\r\n"
-                    f"Connection: close\r\n\r\n{payload}".encode("utf-8")
-                )
-                await writer.drain()
+                if status is not None:
+                    # no indent: it would select the pure-Python encoder
+                    payload = json.dumps(doc, sort_keys=True)
+                    reason = {200: "OK", 202: "Accepted", 400: "Bad Request",
+                              404: "Not Found", 413: "Content Too Large",
+                              429: "Too Many Requests",
+                              431: "Request Header Fields Too Large",
+                              503: "Service Unavailable"}.get(status, "Error")
+                    writer.write(
+                        f"HTTP/1.1 {status} {reason}\r\n"
+                        f"Content-Type: application/json\r\n"
+                        f"Content-Length: {len(payload.encode('utf-8'))}\r\n"
+                        f"Connection: close\r\n\r\n{payload}".encode("utf-8")
+                    )
+                    await writer.drain()
             except (ConnectionError, RuntimeError):
                 pass
-            writer.close()
+            finally:
+                writer.close()
 
     async def _route(self, method: str, target: str,
                      body: bytes) -> tuple[int, dict]:
@@ -575,8 +615,9 @@ class DerivationServer:
             self.collector = current if isinstance(
                 current, ThreadSafeCollector) else None
         self._recover()
-        server = await asyncio.start_server(self._handle, self.host,
-                                            self.port)
+        server = await asyncio.start_server(
+            self._connected, self.host, self.port, limit=MAX_HEADER_LINE_BYTES
+        )
         self.port = server.sockets[0].getsockname()[1]
         handled_signals = []
         for sig in (signal.SIGTERM, signal.SIGINT):
@@ -598,10 +639,36 @@ class DerivationServer:
         finally:
             for sig in handled_signals:
                 self._loop.remove_signal_handler(sig)
-            server.close()
-            await server.wait_closed()
+            await self._close(server)
             if installed_collector:
                 obs.set_collector(obs.NULL)
+
+    async def _close(self, server: asyncio.Server) -> None:
+        """Stop accepting, then end every connection still open.
+
+        The listening sockets leave the selector one loop iteration before
+        ``Server.close()``: a connection accepted in the iteration that
+        closes the server is never attached to it and leaks its socket
+        (``Server._attach`` asserts that the server is open).  Handlers
+        still running after the drain wait for what will not come (a long
+        poll on a job left queued, the rest of a slow client's request),
+        so they are cancelled; one cancelled before its first step never
+        reaches its ``finally``, so its writer is closed here too.
+        """
+        loop = asyncio.get_running_loop()
+        for sock in server.sockets:
+            loop.remove_reader(sock.fileno())
+        await asyncio.sleep(0)  # connections already accepted attach
+        server.close()
+        await asyncio.sleep(0)  # and reach _connected
+        while self._handlers:
+            handlers = dict(self._handlers)
+            for task in handlers:
+                task.cancel()
+            await asyncio.gather(*handlers, return_exceptions=True)
+            for writer in handlers.values():
+                writer.close()
+        await server.wait_closed()
 
 
 def _payload_spec_fingerprints(request: JobRequest) -> list[str]:

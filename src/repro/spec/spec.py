@@ -258,11 +258,17 @@ class Specification:
     # structural helpers
     # ------------------------------------------------------------------
     def renamed(self, name: str) -> "Specification":
-        """A copy of this specification with a different display name."""
-        return Specification(
-            name, self._states, self._alphabet, self._external, self._internal,
-            self._initial,
-        )
+        """A copy of this specification with a different display name.
+
+        The copy shares this one's relations and indexes, which are never
+        mutated after construction, so renaming is O(1): nothing is
+        re-validated, re-sorted or rebuilt.
+        """
+        copy = Specification.__new__(Specification)
+        for slot in Specification.__slots__:
+            setattr(copy, slot, getattr(self, slot))
+        copy._name = str(name)
+        return copy
 
     def map_states(self, mapping: Mapping[State, State] | None = None) -> "Specification":
         """Apply a state-relabeling bijection.

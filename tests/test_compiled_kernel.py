@@ -240,6 +240,31 @@ class TestSatisfyDifferential:
         assert fast.counterexample == slow.counterexample
         assert fast.pairs_explored == slow.pairs_explored
 
+    def test_safety_against_nondeterministic_services(self):
+        """Services with λ steps and fan-out: multi-state subsets, each
+        interned once and stepped through the memo, on both verdicts."""
+        verdicts = collections.Counter()
+        for seed in range(80):
+            service = random_spec(
+                n_states=2 + seed % 6, events=EVENTS, seed=seed,
+                internal_density=0.25,
+            )
+            if seed % 2:
+                impl = _sub_implementation(service, seed, with_lambda=True)
+            else:
+                impl = random_spec(
+                    n_states=3 + seed % 4, events=EVENTS, seed=seed + 1000
+                )
+            with use_kernel(True):
+                fast = satisfies_safety(impl, service)
+            with use_kernel(False):
+                slow = satisfies_safety(impl, service)
+            assert (fast.holds, fast.counterexample, fast.pairs_explored) == (
+                slow.holds, slow.counterexample, slow.pairs_explored
+            )
+            verdicts[fast.holds, service.is_deterministic()] += 1
+        assert verdicts[True, False] and verdicts[False, False], verdicts
+
     @settings(max_examples=40, deadline=None)
     @given(seed=SEEDS, size=SIZES)
     def test_progress_matches_reference(self, seed, size):

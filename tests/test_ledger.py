@@ -132,6 +132,7 @@ class TestFlattenWork:
             "emptied_by": None,        # None: dropped
             "label": "S/B",            # str: dropped
             "duration_ms": 5,          # wall time: dropped
+            "gc.collections.gen0": 7,  # collector work: dropped
         }
         assert flatten_work(counters) == {
             "safety.pairs_explored": 9,

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro import obs
+from repro.gcpause import gc_paused
 from repro.obs import MetricsCollector, NullCollector, SpanRecord
 
 
@@ -23,8 +26,14 @@ class FakeClock:
 
 @pytest.fixture
 def collector():
-    """A recording collector installed for the duration of the test."""
-    with obs.use_collector(MetricsCollector(clock=FakeClock())) as active:
+    """A recording collector installed for the duration of the test.
+
+    The collector pause keeps automatic collections, whose ``gc.*``
+    counters would land at random, out of the exact comparisons below.
+    """
+    with gc_paused(), obs.use_collector(
+        MetricsCollector(clock=FakeClock())
+    ) as active:
         yield active
 
 
@@ -247,3 +256,23 @@ class TestEvents:
         with obs.use_collector(collector):
             obs.event("e")
         assert collector.ops == 1
+
+
+class TestGcCounters:
+    def test_forced_collections_are_counted(self):
+        with obs.use_collector() as collector:
+            gc.collect(0)
+            gc.collect(2)
+        counters = collector.snapshot().counters
+        assert counters["gc.collections.gen0"] >= 1
+        assert counters["gc.collections.gen2"] >= 1
+        assert counters["gc.collect_ms"] > 0
+        assert collector.ops == 0  # not instrumentation calls
+
+    def test_hook_is_registered_only_while_recording(self):
+        before = list(gc.callbacks)
+        with obs.use_collector():
+            with obs.use_collector():
+                assert len(gc.callbacks) == len(before) + 1
+            assert len(gc.callbacks) == len(before) + 1
+        assert gc.callbacks == before

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro import obs
+from repro.gcpause import gc_paused
 from repro.obs import MetricsCollector
 from repro.obs.export import attr_safe, write_chrome_trace
 
@@ -38,7 +39,8 @@ class FakeClock:
 def _deterministic_snapshot():
     """A small but representative solve-shaped span tree."""
     collector = MetricsCollector(clock=FakeClock())
-    with obs.use_collector(collector):
+    # an automatic collection in here would add gc.* counters at random
+    with gc_paused(), obs.use_collector(collector):
         with obs.span("solve_quotient", service="S", component="B") as sp:
             with obs.span("safety_phase") as safety:
                 obs.add("quotient.safety.pairs_explored", 9)

@@ -9,6 +9,7 @@ store, the supervisor's recovery ladder, and the HTTP surface.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import socket
 import threading
@@ -36,7 +37,7 @@ from repro.serve import (
     WorkerSupervisor,
     execute_job,
 )
-from repro.serve.app import MAX_BODY_BYTES
+from repro.serve.app import MAX_BODY_BYTES, MAX_HEADER_LINE_BYTES
 from repro.serve.workers import DRAIN_REASON
 from repro.spec import random_quotient_instance
 
@@ -519,6 +520,9 @@ def live_server(tmp_path):
             except Exception:
                 pass
             thread.join(15)
+    # an unclosed socket or transport warns (ResourceWarning, shown under
+    # ``python -X dev``) when collected: collect here, inside the test
+    gc.collect()
 
 
 class TestServerHTTP:
@@ -629,6 +633,17 @@ class TestServerHTTP:
                 f"POST /jobs HTTP/1.1\r\nContent-Length: {value}\r\n\r\n",
             )
             assert (status, doc) == (400, {"error": "malformed Content-Length"})
+        assert client.health()["status"] == "ok"
+
+    def test_overlong_header_line_is_a_431(self, live_server):
+        server, client = live_server()
+        status, doc = self._raw_request(
+            server.port,
+            "POST /jobs HTTP/1.1\r\nX-Pad: " + "x" * 70_000
+            + "\r\nContent-Length: 2\r\n\r\n",
+        )
+        assert status == 431
+        assert str(MAX_HEADER_LINE_BYTES) in doc["error"]
         assert client.health()["status"] == "ok"
 
     def test_shutdown_drains_cleanly(self, live_server):

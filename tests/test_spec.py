@@ -143,5 +143,14 @@ class TestMapStates:
 
     def test_renamed_keeps_structure(self):
         spec = make()
-        assert spec.renamed("fresh").name == "fresh"
-        assert spec.renamed("fresh") == spec
+        copy = spec.renamed("fresh")
+        assert copy.name == "fresh"
+        assert copy == spec and hash(copy) == hash(spec)
+        assert spec.name == "M"  # the original keeps its name
+        assert repr(copy) == repr(spec).replace(repr(spec.name), "'fresh'")
+        for s in spec.states:
+            assert copy.enabled(s) == spec.enabled(s)
+            assert copy.internal_successors(s) == spec.internal_successors(s)
+        assert copy.sorted_states() == spec.sorted_states()
+        # O(1): the indexes are shared, not rebuilt
+        assert copy._ext_adj is spec._ext_adj and copy._rank is spec._rank
