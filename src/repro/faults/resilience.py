@@ -44,6 +44,7 @@ from ..errors import (
     ReproError,
 )
 from ..events import is_receive, is_send, message_of
+from ..gcpause import gc_paused
 from ..lint.engine import lint_checkpoint
 from ..obs.progress import current_reporter
 from ..persist.checkpoint import (
@@ -574,17 +575,13 @@ def evaluate_resilience(
             with obs.span("resilience.cell", model=model.label):
                 obs.add("faults.cells", 1)
                 try:
-                    cell = _evaluate_cell(
-                        service,
-                        components,
-                        target_idx,
-                        converter,
-                        model,
-                        int_events=int_events,
-                        rederive=rederive,
-                        budget=budget,
-                        interrupt=interrupt,
-                    )
+                    # the pause ends before either checkpoint write below
+                    with gc_paused():
+                        cell = _evaluate_cell(
+                            service, components, target_idx, converter,
+                            model, int_events=int_events, rederive=rederive,
+                            budget=budget, interrupt=interrupt,
+                        )
                 except InterruptRequested as exc:
                     # replace any quotient-kind checkpoint attached inside
                     # the cell with the sweep-level view: completed cells

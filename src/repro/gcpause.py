@@ -19,8 +19,9 @@ entry found, on every exit path (``BudgetExceeded`` and
 ``InterruptRequested`` included).  Nested and concurrent pauses are one
 pause.  A pause must not span persistence writes or user callbacks; the
 library holds it only around :func:`~repro.quotient.solve.solve_quotient`,
-:func:`~repro.compose.binary.compose` and
-:func:`~repro.satisfy.verify.product_satisfies`, whose writes happen
+:func:`~repro.compose.binary.compose`,
+:func:`~repro.satisfy.verify.product_satisfies` and each cell of
+:func:`~repro.faults.resilience.evaluate_resilience`, whose writes happen
 after they return.  See ``docs/performance.md`` ("The cyclic
 collector").
 """

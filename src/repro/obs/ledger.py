@@ -9,23 +9,13 @@ SHA-256 fingerprints the checkpoint layer computes
 same problem are comparable across sessions, and the derivation server's
 jobs (kind ``served``) land beside them.
 
-The file is JSON lines (ledger schema 2): a header line, then one line
-per record, ``{"record": {...}, "sha256": <hex of the canonical
-record>}``.  An append costs O(1) in the ledger's size: it reads only
-the file's tail to find the last run id, writes one line and fsyncs it
-before returning, under ``DEFAULT_STORE_RETRY`` and the ``store.write``
-chaos seam of :mod:`repro.persist.store` (this module builds on persist,
-never the other way round).  A failed attempt truncates the file back
-to its length before the attempt, so a crash can tear only the last
-line — a record that was never acknowledged.  Readers drop a torn last
-line, and skip (counting ``ledger.corrupt_skipped``) any inner record
-whose hash does not match.  ``gc`` rewrites the whole file atomically
-(tmp file + fsync + ``os.replace``); it always keeps the newest record,
-so the next id, one past the last record's, is never reused.
-
-A ledger written in the schema-1 format — one integrity envelope with
-``.prev`` rotation, rewritten per append — reads back as the same
-records, and its first append or ``gc`` converts it atomically.
+The file is JSON lines (ledger schema 2) kept by
+:class:`~repro.persist.lines.JsonLines` (this module builds on persist,
+never the other way round).  An append reads back only the last line,
+for the last run id.  A read skips, counting ``ledger.corrupt_skipped``,
+any record whose hash does not match.  ``gc`` rewrites the file
+atomically and keeps the newest record, so no id is reused.  A file
+without the schema-2 header, a schema-1 ledger included, is refused.
 
 Record determinism policy (mirrors the bench output hygiene rule): the
 ``work`` counters are deterministic exploration counts and are what
@@ -35,24 +25,12 @@ machine-dependent, live only in the JSON, and are **never diffed**.
 
 from __future__ import annotations
 
-import errno
-import hashlib
-import json
-import os
-import tempfile
 import time
 from dataclasses import dataclass, field, replace
-from typing import IO, Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
-from ..chaos import DEFAULT_STORE_RETRY
 from ..errors import PersistError
-from ..persist.store import (
-    PREV_SUFFIX,
-    _canonical_body,
-    injected_write_fault,
-    read_bytes,
-    read_envelope,
-)
+from ..persist.lines import JsonLines
 from .core import add as _count
 
 __all__ = [
@@ -68,16 +46,6 @@ __all__ = [
 #: Version of the ledger file: 1 was one envelope rewritten per append,
 #: 2 is JSON lines (see the module docstring).
 LEDGER_SCHEMA = 2
-
-#: The first line of every schema-2 ledger.
-_HEADER = (
-    json.dumps({"kind": "ledger", "schema": LEDGER_SCHEMA}, sort_keys=True)
-    + "\n"
-).encode("utf-8")
-
-#: Bytes an append reads from the ledger's end at first; the window
-#: doubles until it holds the last complete line.
-_TAIL_WINDOW = 4096
 
 #: Version of one run record.
 RECORD_SCHEMA = 1
@@ -216,137 +184,20 @@ def flatten_work(counters: Mapping[str, Any], prefix: str = "") -> dict[str, flo
 # ----------------------------------------------------------------------
 # the ledger file
 # ----------------------------------------------------------------------
-def _record_line(doc: dict) -> bytes:
-    digest = hashlib.sha256(_canonical_body(doc)).hexdigest()
-    line = json.dumps({"record": doc, "sha256": digest}, sort_keys=True)
-    return (line + "\n").encode("utf-8")
-
-
-def _line_record(line: bytes) -> dict | None:
-    """The record document of one complete line; ``None`` if corrupt."""
-    try:
-        doc = json.loads(line)
-    except ValueError:
-        return None
-    if not (
-        isinstance(doc, dict)
-        and set(doc) == {"record", "sha256"}
-        and isinstance(doc["record"], dict)
-    ):
-        return None
-    digest = hashlib.sha256(_canonical_body(doc["record"])).hexdigest()
-    return doc["record"] if digest == doc["sha256"] else None
-
-
-def _is_lines(head: bytes) -> bool:
-    """Whether a file starting with *head* is a schema-2 ledger.
-
-    A proper prefix of the header (an empty file included) is a torn
-    first append: a schema-2 ledger with no records.
-    """
-    return _HEADER.startswith(head[: len(_HEADER)])
-
-
-def _tail(fh: IO[bytes]) -> tuple[int, bytes]:
-    """``(end, last)`` of a schema-2 ledger open for reading.
-
-    *end* is the length of the file's complete lines (0 when not even
-    the header is whole); *last* is the last complete line, newline
-    included.  Reads windows from the end, doubling until the window
-    holds that whole line.
-    """
-    size = fh.seek(0, os.SEEK_END)
-    window = _TAIL_WINDOW
-    while True:
-        start = max(0, size - window)
-        fh.seek(start)
-        chunk = fh.read(size - start)
-        last_nl = chunk.rfind(b"\n")
-        if last_nl < 0 and start == 0:
-            return 0, b""
-        if last_nl >= 0:
-            prev_nl = chunk.rfind(b"\n", 0, last_nl)
-            if prev_nl >= 0 or start == 0:
-                return start + last_nl + 1, chunk[prev_nl + 1 : last_nl + 1]
-        window *= 2
-
-
-def _replace_raw(path: str, data: bytes) -> None:
-    """One atomic rewrite attempt: tmp file + fsync + ``os.replace``."""
-    if injected_write_fault(path) == "partial":
-        # a torn tmp file never replaces the ledger
-        raise OSError(errno.EIO, f"chaos: injected torn write of {path!r}")
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp_path = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp_path, path)
-    except OSError:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
-
-
 class Ledger:
     """An append-only run ledger at *path* (created on first append)."""
 
     def __init__(self, path: str) -> None:
         self.path = path
+        self._lines = JsonLines(path, kind="ledger", schema=LEDGER_SCHEMA)
 
     # -- reading -------------------------------------------------------
-    def _documents(self) -> list[dict]:
-        """The readable record documents, oldest first."""
-        try:
-            data = read_bytes(self.path, kind="ledger")
-        except FileNotFoundError:
-            # a schema-1 crash between its two renames leaves only .prev
-            if not os.path.exists(self.path + PREV_SUFFIX):
-                return []
-            return self._legacy_documents()
-        if not _is_lines(data):
-            return self._legacy_documents()
-        documents = []
-        corrupt = 0
-        # lines[0] is the header; the last piece is b"" or a torn line
-        for line in data.split(b"\n")[1:-1]:
-            doc = _line_record(line)
-            if doc is None:
-                corrupt += 1
-            else:
-                documents.append(doc)
-        if corrupt:
-            _count("ledger.corrupt_skipped", corrupt)
-        return documents
-
-    def _legacy_documents(self) -> list[dict]:
-        body = read_envelope(self.path, kind="ledger")
-        if body.get("kind") != "ledger":
-            raise PersistError(
-                f"{self.path!r} is not a ledger "
-                f"(kind {body.get('kind')!r})"
-            )
-        if body.get("schema") != 1:
-            raise PersistError(
-                f"ledger {self.path!r} has unsupported schema "
-                f"{body.get('schema')!r} (this version reads 1 and "
-                f"{LEDGER_SCHEMA})"
-            )
-        if not isinstance(body.get("entries"), list):
-            raise PersistError(f"ledger {self.path!r} entries is not a list")
-        return body["entries"]
-
     def read(self) -> tuple[RunRecord, ...]:
         """All records, oldest first ([] when the file does not exist)."""
-        return tuple(
-            RunRecord.from_json_dict(doc) for doc in self._documents()
-        )
+        documents, corrupt = self._lines.read()
+        if corrupt:
+            _count("ledger.corrupt_skipped", corrupt)
+        return tuple(RunRecord.from_json_dict(doc) for doc in documents)
 
     def get(self, run_id: int) -> RunRecord:
         for record in self.read():
@@ -372,89 +223,21 @@ class Ledger:
     def append(self, record: RunRecord) -> RunRecord:
         """Durably append *record*, assigning the next run id.
 
-        The line is fsynced before this returns.  A failed attempt
-        leaves the ledger as it found it, so every record readable
-        before stays readable, once.
+        The id is one past the last record's; when the last line is
+        corrupt, one past the newest readable record.  The line is
+        fsynced before this returns.
         """
-        if self._is_legacy():
-            self._rewrite(self.read())
-        try:
-            with open(self.path, "a+b") as fh:
-                stamped = DEFAULT_STORE_RETRY.call(
-                    lambda: self._append_raw(fh, record),
-                    site="store.write:ledger",
-                )
-        except OSError as exc:
-            raise PersistError(
-                f"cannot write ledger {self.path!r}: {exc}"
-            ) from exc
-        _count("ledger.appends", 1)
-        return stamped
 
-    def _is_legacy(self) -> bool:
-        try:
-            with open(self.path, "rb") as fh:
-                return not _is_lines(fh.read(len(_HEADER)))
-        except FileNotFoundError:
-            return os.path.exists(self.path + PREV_SUFFIX)
-
-    def _append_raw(self, fh: IO[bytes], record: RunRecord) -> RunRecord:
-        """One append attempt; raises :class:`OSError` on failure."""
-        fault = injected_write_fault(self.path)
-        end, last = _tail(fh)
-        last_id = 0
-        if end and last != _HEADER:
-            doc = _line_record(last)
-            if doc is not None:
-                last_id = RunRecord.from_json_dict(doc).run_id
+        def stamp(last: dict | None) -> dict:
+            if last is not None:
+                last_id = RunRecord.from_json_dict(last).run_id
             else:
-                # a corrupt last line: one past the newest readable record
                 last_id = max((r.run_id for r in self.read()), default=0)
-        stamped = replace(record, run_id=last_id + 1)
-        data = _record_line(stamped.to_json_dict())
-        if end == 0:
-            data = _HEADER + data
-        try:
-            # a torn last line was never acknowledged: cut it off
-            fh.truncate(end)
-            if fault == "partial":
-                # the write tears and the attempt fails; the truncate
-                # below removes what it left
-                fh.write(data[: len(data) // 2])
-                fh.flush()
-                raise OSError(
-                    errno.EIO, f"chaos: injected torn write of {self.path!r}"
-                )
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        except OSError:
-            try:
-                fh.truncate(end)
-            except OSError:
-                pass
-            raise
-        return stamped
+            return replace(record, run_id=last_id + 1).to_json_dict()
 
-    def _rewrite(self, records: Iterable[RunRecord]) -> None:
-        """Atomically replace the file with *records* in schema 2."""
-        data = _HEADER + b"".join(
-            _record_line(r.to_json_dict()) for r in records
-        )
-        try:
-            DEFAULT_STORE_RETRY.call(
-                lambda: _replace_raw(self.path, data),
-                site="store.write:ledger",
-            )
-        except OSError as exc:
-            raise PersistError(
-                f"cannot write ledger {self.path!r}: {exc}"
-            ) from exc
-        try:
-            # a schema-1 ledger's previous snapshot is stale from here on
-            os.unlink(self.path + PREV_SUFFIX)
-        except FileNotFoundError:
-            pass
+        doc = self._lines.append(stamp)
+        _count("ledger.appends", 1)
+        return replace(record, run_id=doc["run_id"])
 
     def gc(self, *, keep: int = 5) -> int:
         """Drop all but the newest *keep* records per (fingerprint, kind).
@@ -473,7 +256,9 @@ class Ledger:
                 survivors_rev.append(record)
         removed = len(records) - len(survivors_rev)
         if removed:
-            self._rewrite(reversed(survivors_rev))
+            self._lines.rewrite(
+                r.to_json_dict() for r in reversed(survivors_rev)
+            )
             _count("ledger.gc_removed", removed)
         return removed
 

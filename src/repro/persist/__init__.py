@@ -10,8 +10,8 @@ This package provides the three layers that make that survivable:
   enough that resuming reproduces the uninterrupted run **byte for byte**;
 * :mod:`repro.persist.store` — atomic durable snapshots (tmp + fsync +
   rename) with corruption detection and fallback to the previous good
-  snapshot; the generic :func:`write_envelope` / :func:`read_envelope`
-  pair is also what the run ledger (:mod:`repro.obs.ledger`) builds on;
+  snapshot; :mod:`repro.persist.lines` keeps the append-only JSON-lines
+  files of the run ledger and the server's job journal;
 * :mod:`repro.persist.interrupt` — the cooperative
   :class:`InterruptController` that turns SIGINT / deadlines /
   deterministic test points into

@@ -25,10 +25,9 @@ Envelopes are serialized on one line by CPython's C JSON encoder
 encoder — about eight times slower on a served job record).
 
 Checkpoints (:func:`save_checkpoint` / :func:`load_checkpoint`) and the
-serve layer's documents use this machinery.  The run ledger
-(:mod:`repro.obs.ledger`) is JSON lines with a hash per record; it
-reads ledgers written in this envelope format before its schema 2, and
-shares the write fault seam (:func:`injected_write_fault`).
+serve layer's results use this machinery.  The run ledger and the job
+journal are JSON lines (:mod:`repro.persist.lines`) sharing the write
+fault seam (:func:`injected_write_fault`).
 
 Raw file I/O additionally runs under a
 :class:`~repro.chaos.RetryPolicy` (``DEFAULT_STORE_RETRY``): a transient
@@ -327,7 +326,7 @@ class Store:
     subdirectories), so every read and write inherits the atomic-rename,
     ``.prev``-fallback, integrity-check, and chaos/retry machinery of the
     module functions.  The serve layer (:mod:`repro.serve`) keys its
-    result cache, job records, and checkpoints through stores.
+    result cache and checkpoints through stores.
 
     :meth:`gc` is the maintenance pass the write protocol makes
     necessary: crashes (and injected ``write_partial`` chaos) can leave

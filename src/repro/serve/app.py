@@ -4,12 +4,13 @@
 crash-tolerant service.  One asyncio event loop owns all bookkeeping
 (admission, dedup, job records); jobs execute on worker threads via
 :func:`asyncio.to_thread` under :class:`~repro.serve.workers.
-WorkerSupervisor`; every state transition is persisted through
-:class:`~repro.serve.store_index.ResultStore`, so a killed server restarts
-into the same job set and resumes solves from their checkpoints.
+WorkerSupervisor`; every state transition is appended to the job journal
+of :class:`~repro.serve.store_index.ResultStore`, so a killed server
+restarts into the same job set and resumes solves from their
+checkpoints.
 
 Every write a served job causes costs O(1) in the size of the store:
-a job record per state transition (a cache hit is born ``done`` and
+one journal line per state transition (a cache hit is born ``done`` and
 written once), one result document, and one appended ledger line.
 
 Protocol (JSON over HTTP/1.1, ``Connection: close``; bodies are one
@@ -22,7 +23,7 @@ re-indents what it prints)::
                           202  accepted (or joined to an in-flight twin)
                           429  queue full: {"retry_after_s": ...}
                           503  server draining
-    GET  /jobs          all job summaries
+    GET  /jobs          all job summaries, earlier server lives' included
     GET  /jobs/<id>     record + progress tail (+ result when done);
                           ?wait=1[&timeout_s=N] long-polls for a
                           terminal state
@@ -35,8 +36,8 @@ re-indents what it prints)::
 
 Any request whose ``Content-Length`` is not a decimal number is answered
 400, one declaring a body over :data:`MAX_BODY_BYTES` is answered 413
-before the body is read, and one with a header line over
-:data:`MAX_HEADER_LINE_BYTES` is answered 431.
+before the body is read, and one with a request line or a header line
+over :data:`MAX_HEADER_LINE_BYTES` is answered 414 or 431.
 
 **Single-flight dedup**: a submission whose fingerprint matches a queued
 or running job returns that job's id (``serve.dedup.joined``) instead of
@@ -95,8 +96,9 @@ PROGRESS_TAIL = 256
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
 #: Longest request line or header line the server reads, in bytes (the
-#: ``asyncio`` stream reader's limit).  A longer header line is answered
-#: 431 once the rest of the request head has been read and dropped.
+#: ``asyncio`` stream reader's limit).  A longer request line is answered
+#: 414 and a longer header line 431, once the rest of the request head
+#: has been read and dropped.
 MAX_HEADER_LINE_BYTES = 64 * 1024
 
 #: Default long-poll ceiling for ``GET /jobs/<id>?wait=1``.
@@ -161,7 +163,8 @@ class DerivationServer:
         self.workers = workers
         self.drain = InterruptController(clock=clock)
         self.draining = False
-        self._seq = int(self.store.load_state().get("next_seq", 0))
+        # the next job's sequence number; _recover replays it
+        self._seq = 0
         self._records: dict[str, dict] = {}
         self._requests: dict[str, JobRequest] = {}
         self._inflight: dict[str, str] = {}
@@ -209,12 +212,12 @@ class DerivationServer:
             "request": request.to_json_dict(),
         }
         self._seq += 1
+        # durable before the reply; a failed append fails the submission
+        self.store.save_job(record, admit=True)
         self._records[job_id] = record
         self._requests[job_id] = request
         self._done_events[job_id] = asyncio.Event()
         self._progress[job_id] = _Tail()
-        self.store.save_state({"next_seq": self._seq})
-        self.store.save_job(record)
         return record
 
     def _ledger_job(self, record: dict, work: dict | None = None) -> None:
@@ -295,38 +298,33 @@ class DerivationServer:
         return 202, {"job": record}
 
     def _recover(self) -> None:
-        """Re-enqueue every job a previous server life left unfinished.
-
-        Every record, finished or not, also raises the job-id sequence
-        past its ``seq``: ``server.json`` may be lost or one write
-        behind, and a reused id would overwrite a finished job.
-        """
-        for record in self.store.load_jobs():
-            self._seq = max(self._seq, int(record.get("seq", 0)) + 1)
-            if record.get("state") not in RECOVERABLE_STATES:
+        """Replay the journal into the job table, finished jobs included,
+        re-enqueue every job a previous server life left unfinished, and
+        compact the journal to the states set here."""
+        records, self._seq = self.store.load_jobs()
+        for record in records:
+            job_id = record["job_id"]
+            self._records[job_id] = record
+            if record["state"] not in RECOVERABLE_STATES:
                 continue
             try:
                 request = JobRequest.from_json_dict(record["request"])
-            except (ServeError, KeyError):
+            except ServeError:
                 record["state"] = "failed"
                 record["outcome"] = "failed"
                 record["error"] = "unrecoverable job record"
-                self.store.save_job(record)
                 continue
-            job_id = record["job_id"]
             record["state"] = "queued"
-            self._records[job_id] = record
             self._requests[job_id] = request
             self._done_events[job_id] = asyncio.Event()
             self._progress[job_id] = _Tail()
-            self.store.save_job(record)
             fingerprint = record["fingerprint"]
             if fingerprint not in self._inflight:
                 self._inflight[fingerprint] = job_id
             # past the admission bound: these were already admitted once
             self.queue.push(job_id, priority=record.get("priority", 0))
             obs.add("serve.jobs.recovered", 1)
-        self.store.save_state({"next_seq": self._seq})
+        self.store.save_state(records)
 
     # ------------------------------------------------------------------
     # execution (worker threads)
@@ -420,14 +418,16 @@ class DerivationServer:
         status: int | None = None
         doc: dict = {"error": "internal error"}
         try:
-            request_line = await reader.readline()
-            parts = request_line.decode("latin-1").split()
-            if len(parts) < 2:
-                return
+            try:
+                parts = (await reader.readline()).decode("latin-1").split()
+            except ValueError:
+                parts = None  # over the reader's limit: 414 below
+            else:
+                if len(parts) < 2:
+                    return
             status = 500
-            method, target = parts[0], parts[1]
             length = 0
-            too_long = False
+            too_long = parts is None
             while True:
                 try:
                     line = await reader.readline()
@@ -450,6 +450,12 @@ class DerivationServer:
                         length = MAX_BODY_BYTES + 1
                     else:
                         length = int(value)
+            if parts is None:
+                status, doc = 414, {
+                    "error": "the request line exceeds the "
+                    f"{MAX_HEADER_LINE_BYTES}-byte limit"
+                }
+                return
             if too_long:
                 status, doc = 431, {
                     "error": "a request header line exceeds the "
@@ -467,7 +473,7 @@ class DerivationServer:
             body = await reader.readexactly(length) if length else b""
             obs.add("serve.http.requests", 1)
             try:
-                status, doc = await self._route(method, target, body)
+                status, doc = await self._route(parts[0], parts[1], body)
             except ServeError as exc:
                 status, doc = exc.status, {"error": str(exc)}
                 if exc.status == 429:
@@ -486,7 +492,7 @@ class DerivationServer:
                     payload = json.dumps(doc, sort_keys=True)
                     reason = {200: "OK", 202: "Accepted", 400: "Bad Request",
                               404: "Not Found", 413: "Content Too Large",
-                              429: "Too Many Requests",
+                              414: "URI Too Long", 429: "Too Many Requests",
                               431: "Request Header Fields Too Large",
                               503: "Service Unavailable"}.get(status, "Error")
                     writer.write(
@@ -552,16 +558,7 @@ class DerivationServer:
                           query: dict) -> tuple[int, dict]:
         record = self._records.get(job_id)
         if record is None:
-            # a job from a previous server life, known only on disk
-            record = self.store.load_job(job_id)
-            if record is None:
-                raise ServeError(f"no such job {job_id!r}", status=404)
-            doc = {"job": record, "progress": []}
-            if record.get("state") == "done":
-                cached = self.store.get_result(record["fingerprint"])
-                if cached is not None:
-                    doc["result"] = cached.get("result")
-            return 200, doc
+            raise ServeError(f"no such job {job_id!r}", status=404)
         if query.get("wait") and record["state"] not in TERMINAL_STATES:
             try:
                 timeout = float(query.get("timeout_s", WAIT_TIMEOUT_S))
@@ -573,9 +570,11 @@ class DerivationServer:
                 )
             except asyncio.TimeoutError:
                 pass
+        # a job replayed from an earlier server life has no progress tail
+        tail = self._progress.get(job_id)
         doc: dict[str, Any] = {
             "job": record,
-            "progress": self._progress[job_id].events(),
+            "progress": tail.events() if tail is not None else [],
         }
         if record["state"] == "done":
             cached = self.store.get_result(record["fingerprint"])

@@ -1,17 +1,17 @@
-"""The server's durable state: results, jobs, checkpoints, ledger.
+"""The server's durable state: results, checkpoints, job journal, ledger.
 
-Everything lives under one root directory.  Every document except the
-ledger sits inside a :class:`~repro.persist.Store` envelope — atomic
-rename, ``.prev`` fallback, integrity-checked reads — so the server's
-cache survives the same crash and torn-write schedules its checkpoints
-do, and the ``REPRO_CHAOS`` store fault sites exercise all of it for
-free::
+Everything lives under one root directory.  Results and checkpoints
+sit inside :class:`~repro.persist.Store` envelopes — atomic rename,
+``.prev`` fallback, integrity-checked reads — so the server's cache
+survives the same crash and torn-write schedules its checkpoints do.
+The job journal and the run ledger are append-only JSON lines
+(:class:`~repro.persist.lines.JsonLines`).  The ``REPRO_CHAOS`` store
+fault sites exercise all of it for free::
 
     <root>/
-      server.json             monotonic job-id sequence
       results/<fp>.json       result documents, keyed by fingerprint
-      jobs/<id>.json          job records (the crash-recovery journal)
       checkpoints/<fp>.json   solve checkpoints of budget-tripped/drained jobs
+      journal.json            the job journal, JSON lines
       ledger.json             the run ledger, JSON lines
                               (``history --kind served``)
 
@@ -23,56 +23,71 @@ own entry, so the index is a map in memory, built on first use from
 ``results/`` and extended by :meth:`ResultStore.put_result`; a cached
 result costs one document write and no index write.
 
-Job records double as the **crash journal**: every state transition is
-persisted, so a restarted server can re-enqueue everything that was
-queued or running and resume solves from their checkpoints.
+The **job journal** is the crash-recovery record: one fsynced line per
+job state transition, replayed at start-up into every record and the
+job-id sequence, so a restarted server can re-enqueue everything that
+was queued or running and resume solves from their checkpoints.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from typing import Any
+from typing import Any, Iterable
 
 from .. import obs
 from ..errors import PersistError
 from ..persist import Checkpoint, Store, load_checkpoint, save_checkpoint
+from ..persist.lines import JsonLines
 
 __all__ = ["ResultStore"]
 
 INDEX_SCHEMA = 1
 
+#: Version of the job journal file.
+JOURNAL_SCHEMA = 1
+
 #: Job states that survive a restart and must be re-run.
 RECOVERABLE_STATES = ("queued", "running", "interrupted")
+
+#: The fields of a job's journal lines after its admission line: all
+#: that a state transition changes.
+TRANSITION_KEYS = (
+    "job_id", "state", "outcome", "verdict", "error", "attempts", "resumed"
+)
+
+
+def _seq_of(job_id: str) -> int:
+    return int(job_id[1:])  # job ids are "j<seq>"
 
 
 class ResultStore:
     """All durable server state under one *root* directory."""
 
     def __init__(self, root: str) -> None:
+        for name in ("server.json", "jobs"):  # the journal replaced them
+            old = os.path.join(root, name)
+            if os.path.lexists(old):
+                raise PersistError(
+                    f"{old!r} is from a store layout this version does "
+                    "not read; serve from a new store root"
+                )
         self.root = root
         self._docs = Store(root)
         self._results = Store(os.path.join(root, "results"))
-        self._jobs = Store(os.path.join(root, "jobs"))
         self._checkpoints = Store(os.path.join(root, "checkpoints"))
         self.ledger_path = os.path.join(root, "ledger.json")
+        self.journal_path = os.path.join(root, "journal.json")
+        self._journal = JsonLines(
+            self.journal_path, kind="journal", schema=JOURNAL_SCHEMA
+        )
+        # appends come from the event loop and the worker threads
+        self._journal_lock = threading.Lock()
+        self._lost: dict[str, dict] = {}  # see save_state
         # the index: result fingerprint -> entry, None until first use;
         # worker threads insert while the event loop serves GET /index
         self._entries: dict[str, dict] | None = None
         self._index_lock = threading.Lock()
-
-    # -- server state (the job-id sequence) ----------------------------
-    def load_state(self) -> dict:
-        if not self._docs.exists("server.json"):
-            return {"next_seq": 0}
-        try:
-            return self._docs.read("server.json", kind="serve-state")
-        except PersistError:
-            # recoverable: the job records carry their own seq numbers
-            return {"next_seq": 0}
-
-    def save_state(self, state: dict) -> None:
-        self._docs.write("server.json", state, kind="serve-state")
 
     # -- results (the content-addressed cache) -------------------------
     def get_result(self, fingerprint: str) -> dict | None:
@@ -120,35 +135,19 @@ class ResultStore:
 
     def _scan_results(self) -> dict[str, dict]:
         """The index entries of every readable result document."""
-        legacy: dict[str, Any] | None = None
         entries: dict[str, dict] = {}
         for name in self._results.names():
             try:
                 doc = self._results.read(name, kind="result")
             except PersistError:
                 continue  # a miss, as in get_result
-            fingerprint = name[: -len(".json")]
-            old: dict[str, Any] = {}
-            if "specs" not in doc:
-                # cached before result documents carried their entry
-                if legacy is None:
-                    legacy = self._legacy_index()
-                old = legacy.get(fingerprint) or {}
-            entries[fingerprint] = {
+            entries[name[: -len(".json")]] = {
                 "kind": doc.get("kind"),
-                "label": doc.get("label", old.get("label", "")),
+                "label": doc.get("label", ""),
                 "verdict": doc.get("verdict"),
-                "specs": doc.get("specs", old.get("specs", [])),
+                "specs": doc.get("specs", []),
             }
         return entries
-
-    def _legacy_index(self) -> dict[str, Any]:
-        try:
-            body = self._docs.read("index.json", kind="serve-index")
-        except PersistError:
-            return {}
-        entries = body.get("entries")
-        return entries if isinstance(entries, dict) else {}
 
     def _index_entries(self) -> dict[str, dict]:
         """A copy of the index map, built on first use."""
@@ -170,28 +169,48 @@ class ResultStore:
             if spec_fingerprint in entry["specs"]
         }
 
-    # -- job records (the crash journal) -------------------------------
-    def save_job(self, record: dict) -> None:
-        self._jobs.write(
-            f"{record['job_id']}.json", record, kind="job-record"
-        )
+    # -- the job journal ------------------------------------------------
+    def save_job(self, record: dict, *, admit: bool = False) -> None:
+        """Append one fsynced journal line for *record*: the whole record
+        with *admit*, else its :data:`TRANSITION_KEYS`."""
+        line = record if admit else {k: record[k] for k in TRANSITION_KEYS}
+        with self._journal_lock:
+            self._journal.append(line)
 
-    def load_job(self, job_id: str) -> dict | None:
-        name = f"{job_id}.json"
-        if not self._jobs.exists(name):
-            return None
-        return self._jobs.read(name, kind="job-record")
+    def load_jobs(self) -> tuple[list[dict], int]:
+        """Replay the journal: ``(records, next_seq)``.
 
-    def load_jobs(self) -> list[dict]:
-        """Every job record, oldest submission first."""
-        records = []
-        for name in self._jobs.names():
-            try:
-                records.append(self._jobs.read(name, kind="job-record"))
-            except PersistError:
-                continue
-        records.sort(key=lambda r: r.get("seq", 0))
-        return records
+        *records* are the jobs whose admission line is readable, in their
+        last state, oldest first.  *next_seq* is one past the largest
+        sequence number any line names, so no id is reused, not even a
+        job's whose admission line failed its hash.
+        """
+        docs, corrupt = self._journal.read()
+        if corrupt:
+            obs.add("serve.journal.corrupt_skipped", corrupt)
+        records: dict[str, dict] = {}
+        lost: dict[str, dict] = {}
+        next_seq = 0
+        for doc in docs:
+            job_id = doc["job_id"]
+            next_seq = max(next_seq, _seq_of(job_id) + 1)
+            if "request" in doc:
+                records[job_id] = doc
+            elif job_id in records:
+                records[job_id].update(doc)
+            else:
+                lost.setdefault(job_id, {}).update(doc)
+        self._lost = lost
+        return sorted(records.values(), key=lambda r: r["seq"]), next_seq
+
+    def save_state(self, records: Iterable[dict]) -> None:
+        """Atomically compact the journal to one line per job: each of
+        *records*, and the last line of each job whose admission line
+        :meth:`load_jobs` skipped, so its id stays taken."""
+        lines = [*records, *self._lost.values()]
+        lines.sort(key=lambda doc: _seq_of(doc["job_id"]))
+        with self._journal_lock:
+            self._journal.rewrite(lines)
 
     # -- checkpoints (resume-after-crash for solve jobs) ----------------
     def checkpoint_path(self, fingerprint: str) -> str:
@@ -217,10 +236,14 @@ class ResultStore:
     def gc(self) -> dict[str, Any]:
         """Run :meth:`~repro.persist.Store.gc` over the whole tree.
 
-        The root store's walk is recursive, so one pass covers results,
-        jobs and checkpoints alike.  The ledger is exempt: it is JSON
-        lines, not an envelope, and the sweep would remove it as corrupt.
+        The root store's walk is recursive, so one pass covers results
+        and checkpoints alike.  The journal and the ledger are exempt:
+        they are JSON lines, not envelopes, and the sweep would remove
+        them as corrupt.
         """
         return self._docs.gc(
-            exempt=frozenset({os.path.basename(self.ledger_path)})
+            exempt=frozenset(
+                os.path.basename(path)
+                for path in (self.journal_path, self.ledger_path)
+            )
         )

@@ -152,3 +152,74 @@ def test_two_threads_solving_at_once_restore_the_setting(setting):
     assert not any(thread.is_alive() for thread in threads)
     assert not errors, errors
     assert gc.isenabled() is setting
+
+
+@pytest.fixture
+def sweep_probe(monkeypatch):
+    """The collector setting as each fault is applied and as each sweep
+    checkpoint is written."""
+    from repro.faults import resilience
+    from repro.faults.models import FaultModel
+
+    seen: dict[str, list[bool]] = {"apply": [], "checkpoint": []}
+    real_apply = FaultModel.apply
+    real_save = resilience.save_checkpoint
+
+    def apply(model, spec):
+        seen["apply"].append(gc.isenabled())
+        return real_apply(model, spec)
+
+    def save_checkpoint(path, checkpoint):
+        seen["checkpoint"].append(gc.isenabled())
+        return real_save(path, checkpoint)
+
+    monkeypatch.setattr(FaultModel, "apply", apply)
+    monkeypatch.setattr(resilience, "save_checkpoint", save_checkpoint)
+    return seen
+
+
+def _sweep(**kwargs):
+    from repro.faults import evaluate_resilience
+
+    service, component, int_events = _problem()
+    result = solve_quotient(service, component, int_events=int_events)
+    return evaluate_resilience(
+        service, [component], result.converter,
+        int_events=int_events, target=0, **kwargs,
+    )
+
+
+def _assert_sweep_paused(seen, setting):
+    # each cell ran paused; every checkpoint write saw the caller's setting
+    assert seen["apply"] and not any(seen["apply"])
+    assert seen["checkpoint"]
+    assert all(enabled is setting for enabled in seen["checkpoint"])
+    assert gc.isenabled() is setting
+
+
+def test_a_returning_sweep_restores_the_setting(setting, sweep_probe,
+                                                tmp_path):
+    matrix = _sweep(checkpoint=str(tmp_path / "sweep.ckpt"))
+    assert len(sweep_probe["checkpoint"]) == len(matrix.cells)
+    _assert_sweep_paused(sweep_probe, setting)
+
+
+def test_a_budget_tripped_sweep_restores_the_setting(setting, sweep_probe,
+                                                     tmp_path):
+    matrix = _sweep(budget=Budget(max_states=2),
+                    checkpoint=str(tmp_path / "sweep.ckpt"))
+    assert any(cell.budget_exceeded for cell in matrix.cells)
+    _assert_sweep_paused(sweep_probe, setting)
+
+
+def test_an_interrupted_sweep_restores_the_setting(setting, sweep_probe,
+                                                   tmp_path):
+    probe = InterruptController()
+    _sweep(interrupt=probe)
+    sweep_probe["apply"].clear()
+    with pytest.raises(InterruptRequested):
+        _sweep(interrupt=InterruptController(at_charge=probe.charges // 2),
+               checkpoint=str(tmp_path / "sweep.ckpt"))
+    # the completed cells' writes, then the one on interrupt
+    assert len(sweep_probe["checkpoint"]) >= 2
+    _assert_sweep_paused(sweep_probe, setting)

@@ -16,7 +16,7 @@ import pytest
 from repro.cli import main
 from repro.obs.ledger import Ledger
 
-from .test_ledger import write_legacy_ledger
+from .test_ledger import legacy_records, write_legacy_ledger
 
 DSL = """
 spec service
@@ -196,27 +196,12 @@ class TestHistoryCli:
         assert payload["run_id"] == 2
         assert payload["work"]
 
-    def test_legacy_ledger_output_survives_conversion(self, two_runs, capsys):
-        write_legacy_ledger(two_runs, Ledger(two_runs).read())
-
-        def output(*argv):
-            assert main(["history", *argv, "--ledger", two_runs]) == 0
-            return capsys.readouterr().out
-
-        def outputs():
-            return (output("list"), output("list", "--format", "json"),
-                    output("show", "1"), output("show", "2"))
-
-        before = outputs()
-        assert Path(two_runs).read_bytes().startswith(b"{\n")  # schema 1
-        ledger = Ledger(two_runs)
-        ledger.append(dataclasses.replace(ledger.get(2), run_id=0))
-        assert not Path(two_runs).read_bytes().startswith(b"{\n")
-        text, payload, *shows = outputs()
-        # the appended run's own row aside, nothing reads differently
-        assert text.splitlines()[:-1] == before[0].splitlines()
-        assert json.loads(payload)[:-1] == json.loads(before[1])
-        assert shows == list(before[2:])
+    def test_schema1_ledger_is_refused_untouched(self, ledger_path, capsys):
+        write_legacy_ledger(ledger_path, legacy_records())
+        before = Path(ledger_path).read_bytes()
+        assert main(["history", "list", "--ledger", ledger_path]) == 2
+        assert "does not start with" in capsys.readouterr().err
+        assert Path(ledger_path).read_bytes() == before
 
     def test_show_missing_run_exits_2(self, two_runs, capsys):
         assert main(["history", "show", "--ledger", two_runs, "9"]) == 2

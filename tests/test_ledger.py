@@ -4,8 +4,9 @@ The acceptance-critical properties live in ``TestCrashSafety``: a failed
 append (a failing ``fsync``, an injected ``store.write`` fault) leaves
 the ledger as it found it; a ledger cut at any byte — a crash mid-write —
 reads back exactly its complete records and takes the next append; and
-the two renames left (``gc``'s rewrite, the schema-1 conversion) keep
-the old file when they fail.
+the one rename left (``gc``'s rewrite) keeps the old file when it fails.
+``TestJournalCrashSafety`` runs the same tests over the server's job
+journal, which is the same JSON-lines code under another record shape.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ from repro.obs.ledger import (
     flatten_work,
     render_history_list,
 )
+from repro.persist.lines import JsonLines
+from repro.serve import ResultStore
+from repro.serve.store_index import JOURNAL_SCHEMA
 
 
 def _record(fingerprint="f" * 64, kind="solve", **kwargs):
@@ -64,15 +68,80 @@ def legacy_records(n=3):
     ]
 
 
-@pytest.fixture(scope="module")
-def five_appends(tmp_path_factory):
-    """The bytes of a ledger after five appends, and its records."""
-    path = str(tmp_path_factory.mktemp("ledger") / "ledger.json")
-    for i in range(5):
-        append_run(path, kind="solve", fingerprint="a" * 64, work={"pairs": i})
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    return raw, Ledger(path).read()
+class LedgerFile:
+    """The run ledger as a JSON-lines file under test.
+
+    ``write(path, i)`` makes the *i*-th append of a fixed sequence;
+    ``read(path)`` is what a reader rebuilds from the file, comparable
+    across files written at different times.
+    """
+
+    name = "ledger.json"
+
+    @staticmethod
+    def write(path: str, i: int) -> None:
+        append_run(path, kind="solve", fingerprint="a" * 64,
+                   work={"pairs": i})
+
+    @staticmethod
+    def read(path: str):
+        return [(r.run_id, r.fingerprint, dict(r.work))
+                for r in Ledger(path).read()]
+
+    @staticmethod
+    def rewrite(path: str) -> None:
+        Ledger(path).gc(keep=1)
+
+
+class JournalFile:
+    """The derivation server's job journal as a JSON-lines file under test.
+
+    Write *i* admits job ``j<i // 2>`` when *i* is even and moves it to
+    ``done`` when *i* is odd; a read is the replay (records and next job
+    sequence number) plus the journal's raw lines.
+    """
+
+    name = "journal.json"
+
+    @staticmethod
+    def write(path: str, i: int) -> None:
+        store = ResultStore(os.path.dirname(path))
+        seq = i // 2
+        record = {
+            "schema": 1, "job_id": f"j{seq}", "seq": seq, "kind": "solve",
+            "label": "", "priority": 0, "fingerprint": f"{seq:064d}",
+            "state": "queued", "cache": "miss", "outcome": None,
+            "verdict": None, "error": None, "attempts": 0,
+            "resumed": False, "request": {"kind": "solve", "payload": {}},
+        }
+        if i % 2:
+            record.update(state="done", outcome="complete", attempts=1,
+                          verdict="converter")
+        store.save_job(record, admit=not i % 2)
+
+    @staticmethod
+    def read(path: str):
+        lines = JsonLines(path, kind="journal", schema=JOURNAL_SCHEMA)
+        return ResultStore(os.path.dirname(path)).load_jobs(), lines.read()
+
+    @staticmethod
+    def rewrite(path: str) -> None:
+        store = ResultStore(os.path.dirname(path))
+        store.save_state(store.load_jobs()[0])
+
+
+@pytest.fixture(scope="class")
+def five_appends(request, tmp_path_factory):
+    """The bytes of a file after each of six appends, and its reads."""
+    subject = request.cls.subject
+    path = str(tmp_path_factory.mktemp("lines") / subject.name)
+    raws, reads = [b""], [subject.read(path)]
+    for i in range(6):
+        subject.write(path, i)
+        with open(path, "rb") as fh:
+            raws.append(fh.read())
+        reads.append(subject.read(path))
+    return raws, reads
 
 
 class TestRunRecord:
@@ -241,45 +310,40 @@ class TestLedger:
 class TestCrashSafety:
     """A crash mid-append must never lose previously recorded runs."""
 
+    subject = LedgerFile
+
     def _seed(self, tmp_path, n=3):
-        path = str(tmp_path / "ledger.json")
+        path = str(tmp_path / self.subject.name)
         for i in range(n):
-            append_run(
-                path, kind="solve", fingerprint="a" * 64,
-                work={"pairs": i},
-            )
+            self.subject.write(path, i)
         return path
 
     def test_crash_at_replace_keeps_old_ledger(self, tmp_path, monkeypatch):
-        # appends rename nothing; gc's rewrite and the conversion of a
-        # schema-1 ledger are the renames left
+        # appends rename nothing; the ledger's gc and the journal's
+        # compaction rewrite the file through the one rename left
         path = self._seed(tmp_path)
-        legacy = str(tmp_path / "legacy.json")
-        write_legacy_ledger(legacy, legacy_records())
-        before = {p: Path(p).read_bytes() for p in (path, legacy)}
+        before = Path(path).read_bytes()
+        read = self.subject.read(path)
         real_replace = os.replace
 
         def exploding_replace(src, dst):
-            if dst in before:
+            if dst == path:
                 raise OSError("simulated crash at rename")
             return real_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", exploding_replace)
         with pytest.raises(PersistError):
-            Ledger(path).gc(keep=1)
-        with pytest.raises(PersistError):
-            append_run(legacy, kind="solve", fingerprint="a" * 64)
+            self.subject.rewrite(path)
         monkeypatch.undo()
-        assert {p: Path(p).read_bytes() for p in before} == before
-        assert [r.run_id for r in Ledger(path).read()] == [1, 2, 3]
-        assert [r.run_id for r in Ledger(legacy).read()] == [1, 2, 3]
+        assert Path(path).read_bytes() == before
+        assert self.subject.read(path) == read
         stray = [n for n in os.listdir(tmp_path) if ".tmp" in n]
         assert stray == []
 
     def test_crash_during_write_leaves_no_torn_ledger(self, tmp_path, monkeypatch):
         path = self._seed(tmp_path)
+        before = Path(path).read_bytes()
         calls = {"n": 0}
-        real_fsync = os.fsync
 
         def exploding_fsync(fd):
             calls["n"] += 1
@@ -287,11 +351,11 @@ class TestCrashSafety:
 
         monkeypatch.setattr(os, "fsync", exploding_fsync)
         with pytest.raises(PersistError):
-            append_run(path, kind="solve", fingerprint="a" * 64)
+            self.subject.write(path, 3)
         monkeypatch.undo()
         # transient OSErrors are retried before the append gives up
         assert calls["n"] == DEFAULT_STORE_RETRY.max_attempts
-        assert [r.run_id for r in Ledger(path).read()] == [1, 2, 3]
+        assert Path(path).read_bytes() == before
         # the failed attempt left no stray tmp files behind
         stray = [n for n in os.listdir(tmp_path) if ".tmp" in n]
         assert stray == []
@@ -301,76 +365,86 @@ class TestCrashSafety:
     def test_ledger_cut_at_any_byte_reads_its_complete_lines(
         self, five_appends, data
     ):
-        raw, records = five_appends
+        self._cut_at_any_byte(five_appends, data)
+
+    def _cut_at_any_byte(self, five_appends, data):
+        raws, reads = five_appends
+        raw = raws[5]
         ends = [i for i, byte in enumerate(raw) if byte == ord("\n")]
         cut = data.draw(
             st.integers(0, len(raw))
             | st.sampled_from([i + d for i in ends for d in (0, 1)])
         )
         # the header is the first complete line
-        expected = records[: max(raw[:cut].count(b"\n") - 1, 0)]
+        whole = max(raw[:cut].count(b"\n") - 1, 0)
         with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "ledger.json")
+            path = os.path.join(tmp, self.subject.name)
             with open(path, "wb") as fh:
                 fh.write(raw[:cut])
-            assert Ledger(path).read() == expected
-            later = append_run(path, kind="analyze", fingerprint="b" * 64)
-            assert later.run_id == len(expected) + 1
-            assert Ledger(path).read() == (*expected, later)
+            assert self.subject.read(path) == reads[whole]
+            # the next append cuts the torn line off and lands whole
+            self.subject.write(path, whole)
+            assert self.subject.read(path) == reads[whole + 1]
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_store_write_chaos_over_appends(self, tmp_path, seed):
-        path = str(tmp_path / "ledger.json")
+        path = str(tmp_path / "chaos" / self.subject.name)
+        clean = str(tmp_path / "clean" / self.subject.name)
+        for p in (path, clean):
+            os.makedirs(os.path.dirname(p))
         acknowledged = []
         failed = 0
         plan = ChaosPlan(seed=seed, p_write_enospc=0.3, p_write_partial=0.3)
         with use_chaos(plan):
             for i in range(24):
                 try:
-                    record = append_run(path, kind="solve",
-                                        fingerprint=f"{i:064d}")
+                    self.subject.write(path, i)
                 except PersistError:
                     failed += 1
                 else:
-                    acknowledged.append((record.run_id, record.fingerprint))
+                    acknowledged.append(i)
         assert acknowledged and failed
-        # every append that returned an id reads back exactly once, and
-        # nothing else does
-        assert [(r.run_id, r.fingerprint) for r in Ledger(path).read()] \
-            == acknowledged
-        assert [i for i, _ in acknowledged] == list(
-            range(1, len(acknowledged) + 1)
-        )
+        # every append that returned reads back exactly once, and
+        # nothing else does: the file reads as one written without faults
+        for i in acknowledged:
+            self.subject.write(clean, i)
+        assert self.subject.read(path) == self.subject.read(clean)
 
 
-class TestLegacyLedger:
-    """Schema-1 ledgers (one envelope per file) still read, then convert."""
+class TestJournalCrashSafety(TestCrashSafety):
+    """The same crash-safety tests over the server's job journal."""
 
-    def test_reads_the_same_records(self, tmp_path):
-        path = str(tmp_path / "ledger.json")
-        records = legacy_records()
-        write_legacy_ledger(path, records)
-        assert Ledger(path).read() == tuple(records)
+    subject = JournalFile
 
-    def test_first_append_converts_atomically(self, tmp_path):
-        path = str(tmp_path / "ledger.json")
-        records = legacy_records()
-        write_legacy_ledger(path, records)
-        Path(path + ".prev").write_text("{}")  # the rotated old snapshot
-        later = append_run(path, kind="solve", fingerprint="a" * 64)
-        assert later.run_id == 4
-        assert Ledger(path).read() == (*records, later)
-        assert Path(path).read_bytes().startswith(
-            b'{"kind": "ledger", "schema": 2}\n'
-        )
-        assert not os.path.exists(path + ".prev")
+    # Hypothesis keys its example database by the test function, and
+    # refuses one function run from two classes: so this one is its own
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_ledger_cut_at_any_byte_reads_its_complete_lines(
+        self, five_appends, data
+    ):
+        self._cut_at_any_byte(five_appends, data)
 
-    def test_gc_converts_and_keeps_ids(self, tmp_path):
-        path = str(tmp_path / "ledger.json")
+
+class TestRefusedFiles:
+    """A file that does not start with its header is never touched."""
+
+    @pytest.mark.parametrize("subject", [LedgerFile, JournalFile])
+    def test_schema1_ledger_is_refused_on_read_and_append(
+        self, tmp_path, subject
+    ):
+        path = str(tmp_path / subject.name)
         write_legacy_ledger(path, legacy_records())
-        assert Ledger(path).gc(keep=1) == 2
-        assert [r.run_id for r in Ledger(path).read()] == [3]
-        assert append_run(path, kind="solve", fingerprint="a" * 64).run_id == 4
+        before = Path(path).read_bytes()
+        with pytest.raises(PersistError, match="does not start with"):
+            subject.read(path)
+        with pytest.raises(PersistError, match="does not start with"):
+            subject.write(path, 0)
+        assert Path(path).read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            {subject.name, *(["results", "checkpoints"]
+                             if subject is JournalFile else [])}
+        )
 
 
 class TestDiffRecords:

@@ -14,13 +14,14 @@ import json
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro import obs
 from repro.chaos import ChaosPlan, use_chaos
 from repro.cli import main
-from repro.errors import InterruptRequested, ReproError, ServeError
+from repro.errors import InterruptRequested, PersistError, ReproError, ServeError
 from repro.io.json_codec import spec_to_dict
 from repro.obs.core import ThreadSafeCollector
 from repro.obs.ledger import Ledger
@@ -38,6 +39,7 @@ from repro.serve import (
     execute_job,
 )
 from repro.serve.app import MAX_BODY_BYTES, MAX_HEADER_LINE_BYTES
+from repro.serve.store_index import TRANSITION_KEYS
 from repro.serve.workers import DRAIN_REASON
 from repro.spec import random_quotient_instance
 
@@ -54,6 +56,23 @@ def solve_doc(seed: int = 3, **extra) -> dict:
     }
     doc.update(extra)
     return doc
+
+
+def journal_record(root: str, job_id: str) -> dict | None:
+    """A job's record as a replay of the store's journal rebuilds it."""
+    records, _ = ResultStore(root).load_jobs()
+    return next((r for r in records if r["job_id"] == job_id), None)
+
+
+def job_record(seq: int, state: str, **fields) -> dict:
+    """A whole job record, as a server admits it."""
+    return {
+        "schema": 1, "job_id": f"j{seq}", "seq": seq, "kind": "solve",
+        "label": "", "priority": 0, "fingerprint": f"{seq:064d}",
+        "state": state, "cache": "miss", "outcome": None, "verdict": None,
+        "error": None, "attempts": 0, "resumed": False,
+        "request": solve_doc(seed=seq), **fields,
+    }
 
 
 def canonical_body(seed: int) -> dict:
@@ -211,9 +230,55 @@ class TestAdmissionQueue:
 class TestResultStore:
     def test_state_roundtrip(self, tmp_path):
         store = ResultStore(str(tmp_path))
-        assert store.load_state() == {"next_seq": 0}
-        store.save_state({"next_seq": 7})
-        assert ResultStore(str(tmp_path)).load_state()["next_seq"] == 7
+        assert store.load_jobs() == ([], 0)
+        store.save_job(job_record(0, "queued"), admit=True)
+        store.save_job(job_record(1, "queued"), admit=True)
+        store.save_job(job_record(0, "done", outcome="complete",
+                                  attempts=1))
+        # a transition appends only the fields it changes
+        *_, line = (tmp_path / "journal.json").read_bytes().splitlines()
+        assert set(json.loads(line)["record"]) == set(TRANSITION_KEYS)
+        records, next_seq = store.load_jobs()
+        assert [(r["job_id"], r["state"], r["attempts"]) for r in records] \
+            == [("j0", "done", 1), ("j1", "queued", 0)]
+        assert next_seq == 2
+        # compaction: one line per job, in its last state
+        store.save_state(records)
+        lines = (tmp_path / "journal.json").read_bytes().splitlines()
+        assert len(lines) == 1 + 2
+        assert ResultStore(str(tmp_path)).load_jobs() == (records, 2)
+
+    def test_journal_ids_survive_a_corrupt_admission_line(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        store.save_job(job_record(0, "queued"), admit=True)
+        store.save_job(job_record(1, "queued", label="rot"), admit=True)
+        store.save_job(job_record(1, "done", outcome="complete"))
+        journal = tmp_path / "journal.json"
+        raw = journal.read_bytes()
+        journal.write_bytes(raw.replace(b'"label": "rot"', b'"label": "rat"'))
+        collector = obs.MetricsCollector()
+        with obs.use_collector(collector):
+            records, next_seq = store.load_jobs()
+        assert collector.counters["serve.journal.corrupt_skipped"] == 1
+        # the job is lost, but its surviving transition keeps j1 taken
+        assert [r["job_id"] for r in records] == ["j0"]
+        assert next_seq == 2
+        store.save_state(records)
+        assert ResultStore(str(tmp_path)).load_jobs() == (records, 2)
+        server = DerivationServer(str(tmp_path))
+        server._recover()
+        _, accepted = server._submit(solve_doc(seed=5))
+        assert accepted["job"]["job_id"] == "j2"
+
+    def test_old_store_layout_is_refused(self, tmp_path):
+        for name in ("server.json", "jobs"):
+            root = tmp_path / name.replace(".", "-")
+            root.mkdir()
+            (root / name).mkdir() if name == "jobs" else \
+                (root / name).write_text("{}")
+            with pytest.raises(PersistError, match=name):
+                ResultStore(str(root))
+            assert [p.name for p in root.iterdir()] == [name]
 
     def test_result_roundtrip_and_index(self, tmp_path):
         store = ResultStore(str(tmp_path))
@@ -230,21 +295,16 @@ class TestResultStore:
         ResultStore(str(tmp_path)).put_result(
             "f" * 64, kind="solve", label="x", spec_fingerprints=["s1"],
             body={}, verdict="converter")
-        # a result cached before documents carried their index entry
+        # a result document that carries no index entry of its own
         old = ResultStore(str(tmp_path))
         old._results.write("a" * 64 + ".json", {
             "kind": "analyze", "fingerprint": "a" * 64, "verdict": "clean",
             "result": {}}, kind="result")
-        old._docs.write("index.json", {
-            "kind": "serve-index", "schema": 1, "entries": {"a" * 64: {
-                "kind": "analyze", "label": "old", "verdict": "clean",
-                "specs": ["s1"]}}}, kind="serve-index")
-        entries = ResultStore(str(tmp_path)).entries_for_spec("s1")
-        assert entries == {
+        assert ResultStore(str(tmp_path)).index()["entries"] == {
             "f" * 64: {"kind": "solve", "label": "x",
                        "verdict": "converter", "specs": ["s1"]},
-            "a" * 64: {"kind": "analyze", "label": "old",
-                       "verdict": "clean", "specs": ["s1"]},
+            "a" * 64: {"kind": "analyze", "label": "",
+                       "verdict": "clean", "specs": []},
         }
 
     def test_index_map_under_concurrent_puts(self, tmp_path):
@@ -312,17 +372,17 @@ class TestResultStore:
         for seq, state in enumerate(
             ("done", "queued", "running", "failed", "interrupted")
         ):
-            store.save_job({"job_id": f"j{seq}", "seq": seq, "state": state,
-                            "fingerprint": f"f{seq}",
-                            "request": solve_doc(seed=seq)})
-        assert [r["seq"] for r in store.load_jobs()] == [0, 1, 2, 3, 4]
-        # a restarted server re-enqueues exactly the unfinished jobs
+            store.save_job(job_record(seq, state), admit=True)
+        assert [r["seq"] for r in store.load_jobs()[0]] == [0, 1, 2, 3, 4]
+        # a restarted server re-enqueues exactly the unfinished jobs, and
+        # its table answers for the finished ones too
         server = DerivationServer(str(tmp_path))
         server._recover()
-        assert sorted(server._records) == ["j1", "j2", "j4"]
+        assert sorted(server._requests) == ["j1", "j2", "j4"]
         assert server.queue.depth == 3
-        assert store.load_job("j0")["state"] == "done"
-        assert store.load_job("missing") is None
+        assert sorted(server._records) == ["j0", "j1", "j2", "j3", "j4"]
+        assert journal_record(str(tmp_path), "j0")["state"] == "done"
+        assert journal_record(str(tmp_path), "missing") is None
 
     def test_checkpoint_lifecycle(self, tmp_path):
         store = ResultStore(str(tmp_path))
@@ -445,22 +505,23 @@ class TestServerAdmission:
         assert "resubmit" in shed["error"]
         # the shed record is persisted — the client gets a structured
         # answer, not a lost job
-        assert server.store.load_job(shed["job_id"])["state"] == "shed"
+        assert journal_record(server.store.root,
+                              shed["job_id"])["state"] == "shed"
 
     def test_job_ids_survive_a_lost_server_state(self, tmp_path):
         server = self._server(tmp_path)
         _, first = server._submit(solve_doc(seed=39))
         server._run_one(first["job"]["job_id"])
-        finished = server.store.load_job("j0")
+        root = str(tmp_path / "store")
+        finished = journal_record(root, "j0")
         assert finished["state"] == "done"
-        for name in ("server.json", "server.json.prev"):
-            (tmp_path / "store" / name).unlink(missing_ok=True)
         restarted = self._server(tmp_path)
         restarted._recover()
         _, second = restarted._submit(solve_doc(seed=40))
         # every job the last life finished still owns its id
         assert second["job"]["job_id"] == "j1"
-        assert restarted.store.load_job("j0") == finished
+        assert journal_record(root, "j0") == finished
+        assert restarted._records["j0"] == finished
 
     def test_cache_hit_writes_its_record_once(self, tmp_path, monkeypatch):
         server = self._server(tmp_path)
@@ -469,12 +530,38 @@ class TestServerAdmission:
         server._run_one(first["job"]["job_id"])
         saved = []
         monkeypatch.setattr(server.store, "save_job",
-                            lambda record: saved.append(dict(record)))
+                            lambda record, **kw: saved.append(dict(record)))
         status, _ = server._submit(doc)
         assert status == 200
         assert [(r["state"], r["outcome"]) for r in saved] == [
             ("done", "complete")
         ]
+
+    def test_failed_admission_append_is_an_error_not_a_202(self, tmp_path):
+        server = self._server(tmp_path)
+        # every write attempt fails: the admission line never lands
+        with use_chaos(ChaosPlan(p_write_enospc=1.0, sites=("store.write",))):
+            with pytest.raises(PersistError, match="journal"):
+                server._submit(solve_doc(seed=31))
+        assert server._records == {} and server.queue.depth == 0
+        assert server.store.load_jobs() == ([], 0)
+
+    def test_result_is_cached_before_the_done_line(self, tmp_path):
+        server = self._server(tmp_path)
+        _, accepted = server._submit(solve_doc(seed=31))
+        calls = []
+        for name in ("put_result", "save_job"):
+            method = getattr(server.store, name)
+
+            def spy(*args, _name=name, _method=method, **kw):
+                calls.append((_name, args[-1].get("state")
+                              if _name == "save_job" else None))
+                return _method(*args, **kw)
+
+            setattr(server.store, name, spy)
+        server._run_one(accepted["job"]["job_id"])
+        assert calls == [("save_job", "running"), ("put_result", None),
+                         ("save_job", "done")]
 
     def test_draining_rejects_with_503(self, tmp_path):
         server = self._server(tmp_path)
@@ -583,8 +670,33 @@ class TestServerHTTP:
             time.sleep(0.05)
         served = ledger.read()
         assert [r.kind for r in served] == ["served", "served"]
+        files = [Path(server.store.journal_path),
+                 Path(server.store.ledger_path)]
+        before = [path.read_bytes() for path in files]
         assert client.gc()["corrupt_removed"] == 0
+        assert [path.read_bytes() for path in files] == before
         assert ledger.read() == served
+
+    def test_restart_answers_for_an_earlier_lives_job(self, live_server,
+                                                      tmp_path):
+        root = str(tmp_path / "store")
+        _, client = live_server(root=root)
+        _, accepted = client.submit(solve_doc(seed=47))
+        job_id = accepted["job"]["job_id"]
+        first = client.wait(job_id, timeout_s=60)
+        assert first["job"]["state"] == "done"
+        client.shutdown()
+        deadline = time.monotonic() + 15
+        while time.monotonic() < deadline:  # until the first life is gone
+            try:
+                client.health()
+            except OSError:
+                break
+            time.sleep(0.05)
+        _, restarted = live_server(root=root)
+        # the progress tail lived only in the first life's memory
+        assert restarted.job(job_id) == {**first, "progress": []}
+        assert [j["job_id"] for j in restarted.jobs()["jobs"]] == [job_id]
 
     def test_error_surfaces(self, live_server):
         _, client = live_server()
@@ -643,6 +755,16 @@ class TestServerHTTP:
             + "\r\nContent-Length: 2\r\n\r\n",
         )
         assert status == 431
+        assert str(MAX_HEADER_LINE_BYTES) in doc["error"]
+        assert client.health()["status"] == "ok"
+
+    def test_overlong_request_line_is_a_414(self, live_server):
+        server, client = live_server()
+        status, doc = self._raw_request(
+            server.port,
+            "GET /" + "x" * 70_000 + " HTTP/1.1\r\nContent-Length: 2\r\n\r\n",
+        )
+        assert status == 414
         assert str(MAX_HEADER_LINE_BYTES) in doc["error"]
         assert client.health()["status"] == "ok"
 
@@ -742,6 +864,27 @@ class TestServeCli:
         assert main(["serve", "--store", str(store), flag, value]) == 2
         assert f"{flag} must be >= 1" in capsys.readouterr().err
         assert not store.exists()
+
+    @pytest.mark.parametrize("name", ["server.json", "jobs"])
+    def test_serve_refuses_an_old_store_untouched(self, tmp_path, capsys,
+                                                  monkeypatch, name):
+        async def started(server, **kw):  # fail, rather than serve forever
+            raise AssertionError("serve started on an old store")
+
+        monkeypatch.setattr(DerivationServer, "run", started)
+        store = tmp_path / "store"
+        store.mkdir()
+        old = store / name
+        if name == "jobs":
+            old.mkdir()
+            (old / "j0.json").write_text("{}")
+        else:
+            old.write_text("{}")
+        before = sorted(p.relative_to(store) for p in store.rglob("*"))
+        assert main(["serve", "--store", str(store)]) == 2
+        assert str(old) in capsys.readouterr().err
+        assert sorted(p.relative_to(store) for p in store.rglob("*")) \
+            == before
 
     def test_status_tail(self, live_server, dsl, capsys):
         server, client = live_server()

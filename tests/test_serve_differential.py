@@ -71,6 +71,12 @@ def canonical(seed: int) -> str:
     return json.dumps(body, sort_keys=True)
 
 
+def journal_states(root: str) -> dict[str, dict]:
+    """Every job's record, by id, as a replay of the journal rebuilds it."""
+    records, _ = ResultStore(root).load_jobs()
+    return {record["job_id"]: record for record in records}
+
+
 def served(outcome) -> str:
     assert outcome.state == "done", outcome.error
     return json.dumps(outcome.body, sort_keys=True)
@@ -203,8 +209,9 @@ class TestOverload:
         assert shed["state"] == "shed" and "resubmit" in shed["error"]
         # every accepted job is accounted for: still queued, or shed
         # with a structured, persisted answer — nothing vanished
+        records = journal_states(server.store.root)
         states = {
-            job_id: server.store.load_job(job_id)["state"]
+            job_id: records[job_id]["state"]
             for job_id in accepted + [vip["job"]["job_id"]]
         }
         assert sorted(states.values()) == ["queued", "queued", "queued",
@@ -295,8 +302,9 @@ def _assert_served_in_ledger(store: ResultStore, job_ids) -> None:
         r.fingerprint for r in Ledger(store.ledger_path).read()
         if r.kind == "served"
     }
+    records = journal_states(store.root)
     for job_id in job_ids:
-        assert store.load_job(job_id)["fingerprint"] in served_fingerprints
+        assert records[job_id]["fingerprint"] in served_fingerprints
 
 
 def test_sigterm_under_load_then_restart_resumes_all(tmp_path):
@@ -329,9 +337,9 @@ def test_sigterm_under_load_then_restart_resumes_all(tmp_path):
     # the drained store accounts for every accepted job: done already,
     # or parked in a recoverable state — none lost
     store = ResultStore(store_root)
+    records = journal_states(store_root)
     first_life = {
-        seed: store.load_job(job_id)["state"]
-        for seed, job_id in job_ids.items()
+        seed: records[job_id]["state"] for seed, job_id in job_ids.items()
     }
     assert set(first_life.values()) <= {
         "done", "queued", "running", "interrupted"
@@ -424,7 +432,7 @@ def test_sigterm_mid_solve_parks_the_running_job_then_resumes(tmp_path):
             proc.communicate()
     assert proc.returncode == 0, stderr
     assert json.loads(stdout.splitlines()[-1]) == {"drained": True}
-    record = store.load_job(relay_id)
+    record = journal_states(store_root)[relay_id]
     assert record["state"] == "interrupted", record
     assert record["outcome"] == "partial-interrupt"
     assert store.load_job_checkpoint(record["fingerprint"]) is not None
@@ -469,9 +477,8 @@ def test_sigkill_mid_job_then_restart_finishes_all(tmp_path):
             proc.kill()
             proc.communicate()
     assert proc.returncode == -signal.SIGKILL
-    first_life = {
-        job_id: store.load_job(job_id)["state"] for job_id in expected
-    }
+    records = journal_states(store_root)
+    first_life = {job_id: records[job_id]["state"] for job_id in expected}
     assert first_life == {
         job_id: "running" if job_id == relay_id else "queued"
         for job_id in expected
