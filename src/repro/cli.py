@@ -320,7 +320,9 @@ class _Run:
     ends the body, and exports the telemetry last: after the command's
     own output on every exit, partial ones included.  The body wraps its
     work in :meth:`scope` (and, where the run can stop gracefully,
-    :meth:`interruptible`) and reports how it ended with :meth:`record`.
+    :meth:`interruptible`) and reports how it ended with :meth:`record`;
+    ``collector`` is the collector an observability flag installed
+    (``None`` without one).
 
     ``fingerprint`` and ``label`` identify the run in the ledger; a
     partial run files its counters under ``stage`` (default: the phase
@@ -344,14 +346,13 @@ class _Run:
         self.reporter: obs.ProgressReporter | None = None
         self.interrupt = None
         self.started = time.monotonic()
+        self.collector: obs.MetricsCollector | None = None
 
     def execute(self, body: Callable[[], int]) -> int:
         args = self.args
-        collector = (
-            obs.MetricsCollector()
-            if args.profile or args.trace or args.metrics
-            else None
-        )
+        if args.profile or args.trace or args.metrics:
+            self.collector = obs.MetricsCollector()
+        collector = self.collector
         try:
             with (
                 obs.use_collector(collector)
@@ -836,7 +837,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if args.format == "json":
             # phase counters are always included, so an empty result still
             # says which phase emptied the machine and what survived safety
-            print(json.dumps(result.to_json_dict(), indent=2, sort_keys=True))
+            payload = result.to_json_dict()
+            if run.collector is not None:
+                payload["stats"] = run.collector.snapshot().to_dict()
+            print(json.dumps(payload, indent=2, sort_keys=True))
         else:
             print(explain_converter(result, show_pairs=args.pairs))
             if result.exists and args.dot:
@@ -860,7 +864,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     service = _pick(specs, args.service)
     component = _pick(specs, args.component)
 
-    # diagnose always records, so the JSON report can carry result.stats
+    # diagnose always records, so the JSON report can carry its stats
     # (the "why is this slow" half of the shared diagnostics surface)
     collector = obs.MetricsCollector()
     with obs.use_collector(collector):
@@ -878,8 +882,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         target = f"{service.name}/{component.name}"
         payload = diagnosis.to_report(target=target).to_json_dict()
         payload["phases"] = result.phase_counters()
-        if result.stats is not None:
-            payload["stats"] = result.stats.to_dict()
+        payload["stats"] = collector.snapshot().to_dict()
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(diagnosis.describe())

@@ -43,7 +43,6 @@ from .core import (
     event,
     gauge,
     set_collector,
-    snapshot_if_recording,
     span,
     use_collector,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "render_text",
     "set_collector",
     "set_reporter",
-    "snapshot_if_recording",
     "snapshot_to_chrome_trace",
     "snapshot_to_dict",
     "snapshot_to_json",

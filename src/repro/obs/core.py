@@ -229,15 +229,18 @@ class ThreadSafeCollector(MetricsCollector):
     The plain collector observes one single-threaded run; the serve layer
     (:mod:`repro.serve`) instead runs jobs on worker threads that all
     report into the server's one collector, where the unlocked
-    read-modify-write of ``add`` would drop increments.  Spans remain
-    meaningful only per-thread (concurrent spans interleave in one
-    stack), so threaded callers should stick to counters, gauges, and
-    events — which is all the serve layer emits.
+    read-modify-write of ``add`` would drop increments.  It keeps
+    counters, gauges, and events, and records no spans: concurrent spans
+    would interleave in one stack, and a long-lived server would keep
+    every one.  :func:`span` hands back the no-op handle for it.
     """
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
         super().__init__(clock)
         self._lock = threading.Lock()
+
+    def span_start(self, name: str, attrs: Mapping[str, Any] | None = None) -> int:
+        return -1
 
     def add(self, name: str, value: float = 1) -> None:
         with self._lock:
@@ -386,13 +389,16 @@ def span(name: str, **attrs: Any) -> SpanHandle:
             ...
             sp.set(states=len(states))
 
-    With the null collector this returns a shared no-op handle without
-    allocating anything.
+    With the null collector, or one that records no spans (``span_start``
+    returns ``-1``), this returns a shared no-op handle.
     """
     collector = _collector
     if not collector.recording:
         return _NOOP_SPAN
-    return _Span(collector, collector.span_start(name, attrs))
+    index = collector.span_start(name, attrs)
+    if index < 0:
+        return _NOOP_SPAN
+    return _Span(collector, index)
 
 
 def add(name: str, value: float = 1) -> None:
@@ -415,10 +421,3 @@ def event(name: str, **attrs: Any) -> None:
     if collector.recording:
         collector.event(name, attrs)
 
-
-def snapshot_if_recording() -> MetricsSnapshot | None:
-    """The current collector's snapshot, or ``None`` when not recording."""
-    collector = _collector
-    if isinstance(collector, MetricsCollector):
-        return collector.snapshot()
-    return None

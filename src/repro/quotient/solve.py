@@ -10,7 +10,6 @@ different code path), so a returned converter is never taken on faith.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable
 
 from .. import obs
@@ -117,8 +116,7 @@ def solve_quotient(
         ``result.exists`` tells whether a converter exists; when it does,
         ``result.converter`` is the maximal converter (Theorem 1 / 2) with
         integer states and ``result.f`` maps each state to its ``(a, b)``
-        pair set.  When an :mod:`repro.obs` collector is recording,
-        ``result.stats`` carries the collected metrics snapshot.
+        pair set.
     """
     with gc_paused(), obs.span(
         "solve_quotient", service=service.name, component=component.name
@@ -135,9 +133,6 @@ def solve_quotient(
             resume_from=resume_from,
         )
         sp.set(exists=result.exists)
-    stats = obs.snapshot_if_recording()
-    if stats is not None:
-        result = replace(result, stats=stats)
     return result
 
 

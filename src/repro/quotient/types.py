@@ -17,7 +17,6 @@ from typing import Iterable
 
 from ..errors import QuotientError
 from ..events import Interface
-from ..obs import MetricsSnapshot
 from ..spec.normal_form import assert_normal_form
 from ..spec.spec import Specification, State
 
@@ -141,10 +140,10 @@ class QuotientResult:
     * ``safety`` / ``progress`` — per-phase records;
     * ``verification`` — the independent satisfaction report of
       ``B ‖ converter`` against the service (populated when the solver was
-      asked to verify and a converter exists);
-    * ``stats`` — the :class:`~repro.obs.MetricsSnapshot` collected during
-      the run (populated only when an :mod:`repro.obs` collector was
-      recording; ``None`` under the default no-op collector).
+      asked to verify and a converter exists).
+
+    Telemetry is not part of the result: whoever installs an
+    :mod:`repro.obs` collector reads its own snapshot.
     """
 
     problem: QuotientProblem
@@ -156,7 +155,6 @@ class QuotientResult:
     safety: SafetyPhaseResult | None = None
     progress: ProgressPhaseResult | None = None
     verification: object | None = None
-    stats: MetricsSnapshot | None = None
 
     def __bool__(self) -> bool:
         return self.exists
@@ -212,8 +210,7 @@ class QuotientResult:
 
         Contains the verdict, the phase counters (so an empty result says
         *which* phase emptied the machine and how many pairs survived
-        safety), the converter shape, the verification verdict, and — when
-        an obs collector was recording — the full metrics snapshot.
+        safety), the converter shape, and the verification verdict.
         """
         payload: dict = {
             "version": 1,
@@ -234,8 +231,6 @@ class QuotientResult:
             payload["converter"] = None
         if self.verification is not None:
             payload["verified"] = bool(getattr(self.verification, "holds", False))
-        if self.stats is not None:
-            payload["stats"] = self.stats.to_dict()
         return payload
 
     def summary(self) -> str:

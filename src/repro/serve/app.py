@@ -22,7 +22,7 @@ re-indents what it prints)::
                           200  cache hit: job record + result body
                           202  accepted (or joined to an in-flight twin)
                           429  queue full: {"retry_after_s": ...}
-                          503  server draining
+                          503  server draining, or its store failed
     GET  /jobs          all job summaries, earlier server lives' included
     GET  /jobs/<id>     record + progress tail (+ result when done);
                           ?wait=1[&timeout_s=N] long-polls for a
@@ -65,7 +65,7 @@ from typing import Any, Callable
 from urllib.parse import parse_qs, urlsplit
 
 from .. import obs
-from ..errors import ReproError, ServeError
+from ..errors import PersistError, ReproError, ServeError
 from ..obs.core import ThreadSafeCollector
 from ..obs.ledger import append_run, flatten_work
 from ..obs.progress import ProgressReporter, set_reporter
@@ -209,13 +209,17 @@ class DerivationServer:
             "error": None,
             "attempts": 0,
             "resumed": False,
-            "request": request.to_json_dict(),
         }
         self._seq += 1
+        # the request is kept, on the admission line and in _requests,
+        # only while the job has still to run
+        queued = state == "queued"
+        line = {**record, "request": request.to_json_dict()} if queued else record
         # durable before the reply; a failed append fails the submission
-        self.store.save_job(record, admit=True)
+        self.store.save_job(line, admit=True)
         self._records[job_id] = record
-        self._requests[job_id] = request
+        if queued:
+            self._requests[job_id] = request
         self._done_events[job_id] = asyncio.Event()
         self._progress[job_id] = _Tail()
         return record
@@ -265,24 +269,21 @@ class DerivationServer:
             primary = self._records[self._inflight[fingerprint]]
             return 202, {"job": primary, "joined": True}
         obs.add("serve.cache.miss", 1)
+        if not self.queue.admits(request.priority):
+            # refused before admission: no journal line, record or job id
+            obs.add("serve.queue.rejected", 1)
+            raise ServeError(
+                f"queue full (capacity {self.queue.capacity}); retry in "
+                f"{self.queue.retry_after()}s",
+                status=429,
+            )
         record = self._new_job(
             request, fingerprint, state="queued", cache="miss"
         )
-        admission = self.queue.offer(record["job_id"],
-                                     priority=request.priority)
-        if not admission.accepted:
-            record["state"] = "failed"
-            record["outcome"] = "failed"
-            record["error"] = "rejected: queue full"
-            self.store.save_job(record)
-            self._done_events[record["job_id"]].set()
-            raise ServeError(
-                f"queue full (capacity {self.queue.capacity}); retry in "
-                f"{admission.retry_after_s}s",
-                status=429,
-            )
-        if admission.shed is not None:
-            shed = self._records[admission.shed]
+        shed_id = self.queue.offer(record["job_id"],
+                                   priority=request.priority).shed
+        if shed_id is not None:
+            shed = self._records[shed_id]
             shed["state"] = "shed"
             shed["outcome"] = "failed"
             shed["error"] = (
@@ -290,8 +291,9 @@ class DerivationServer:
             )
             self.store.save_job(shed)
             self._ledger_job(shed)
+            del self._requests[shed_id]
             self._inflight.pop(shed["fingerprint"], None)
-            self._done_events[shed["job_id"]].set()
+            self._done_events[shed_id].set()
         self._inflight[fingerprint] = record["job_id"]
         if self._wake is not None:
             self._wake.set()
@@ -300,7 +302,9 @@ class DerivationServer:
     def _recover(self) -> None:
         """Replay the journal into the job table, finished jobs included,
         re-enqueue every job a previous server life left unfinished, and
-        compact the journal to the states set here."""
+        compact the journal to the states set here.  Only an unfinished
+        job keeps its request: in ``_requests`` and on its compacted line,
+        never in its record."""
         records, self._seq = self.store.load_jobs()
         for record in records:
             job_id = record["job_id"]
@@ -325,6 +329,8 @@ class DerivationServer:
             self.queue.push(job_id, priority=record.get("priority", 0))
             obs.add("serve.jobs.recovered", 1)
         self.store.save_state(records)
+        for record in records:
+            record.pop("request", None)
 
     # ------------------------------------------------------------------
     # execution (worker threads)
@@ -371,7 +377,8 @@ class DerivationServer:
 
     def _finalize(self, job_id: str) -> None:
         record = self._records[job_id]
-        if record["state"] in ("done", "failed", "shed"):
+        if record["state"] in ("done", "failed"):
+            del self._requests[job_id]
             if self._inflight.get(record["fingerprint"]) == job_id:
                 del self._inflight[record["fingerprint"]]
         self._done_events[job_id].set()
@@ -478,6 +485,11 @@ class DerivationServer:
                 status, doc = exc.status, {"error": str(exc)}
                 if exc.status == 429:
                     doc["retry_after_s"] = self.queue.retry_after()
+            except PersistError:
+                # the server's fault, not the request's; the error's own
+                # text names paths under the store root
+                status, doc = 503, {"error": "the server's store failed; "
+                                    "retry later"}
             except ReproError as exc:
                 status, doc = 400, {"error": str(exc)}
         except (asyncio.IncompleteReadError, ConnectionError, ValueError):

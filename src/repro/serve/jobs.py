@@ -18,10 +18,9 @@ poison the cache for an unbudgeted one.
 
 :func:`execute_job` is the pure execution core — no queueing, retry, or
 persistence; that is :mod:`repro.serve.workers`' business.  Its returned
-body is *canonical*: machine-dependent fields (``stats``) are stripped,
-so a cached, retried, or resumed execution is byte-identical
-to a direct :func:`~repro.quotient.solve_quotient` call on the same
-inputs.
+body is *canonical*: a cached, retried, or resumed execution is
+byte-identical to a direct :func:`~repro.quotient.solve_quotient` call
+on the same inputs.
 """
 
 from __future__ import annotations
@@ -258,10 +257,8 @@ def execute_job(
             interrupt=interrupt,
             resume_from=resume_from,
         )
-        body = result.to_json_dict()
-        body.pop("stats", None)
         return ExecutionOutcome(
-            body=body,
+            body=result.to_json_dict(),
             verdict="converter" if result.exists else "no-converter",
             counters=result.phase_counters(),
         )

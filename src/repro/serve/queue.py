@@ -72,21 +72,25 @@ class AdmissionQueue:
         """The deterministic backpressure hint at the current depth."""
         return round(RETRY_AFTER_PER_JOB_S * (len(self._heap) + 1), 3)
 
+    def admits(self, priority: int = 0) -> bool:
+        """Whether :meth:`offer` would accept a job at *priority*: the
+        queue has room, or holds a strictly lower priority to shed.  The
+        queue is left as it is."""
+        # max of (-priority, seq): the lowest priority, youngest among ties
+        return len(self._heap) < self.capacity or -max(self._heap)[0] < priority
+
     def offer(self, job: Any, *, priority: int = 0) -> Admission:
         """Admit, shed-and-admit, or reject *job* (see module docstring)."""
+        if not self.admits(priority):
+            obs.add("serve.queue.rejected", 1)
+            return Admission("rejected", retry_after_s=self.retry_after())
         shed = None
         if len(self._heap) >= self.capacity:
-            lowest = max(self._heap)  # max of (-priority, seq): lowest
-            if -lowest[0] < priority:  # priority, youngest among ties
-                self._heap.remove(lowest)
-                heapq.heapify(self._heap)
-                shed = lowest[2]
-                obs.add("serve.queue.shed", 1)
-            else:
-                obs.add("serve.queue.rejected", 1)
-                return Admission(
-                    "rejected", retry_after_s=self.retry_after()
-                )
+            lowest = max(self._heap)
+            self._heap.remove(lowest)
+            heapq.heapify(self._heap)
+            shed = lowest[2]
+            obs.add("serve.queue.shed", 1)
         heapq.heappush(self._heap, (-priority, self._seq, job))
         self._seq += 1
         obs.add("serve.queue.accepted", 1)

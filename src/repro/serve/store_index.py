@@ -26,7 +26,9 @@ result costs one document write and no index write.
 The **job journal** is the crash-recovery record: one fsynced line per
 job state transition, replayed at start-up into every record and the
 job-id sequence, so a restarted server can re-enqueue everything that
-was queued or running and resume solves from their checkpoints.
+was queued or running and resume solves from their checkpoints.  A
+job's request rides on its admission line, and on its compacted line
+only while the job is unfinished.
 """
 
 from __future__ import annotations
@@ -181,9 +183,11 @@ class ResultStore:
         """Replay the journal: ``(records, next_seq)``.
 
         *records* are the jobs whose admission line is readable, in their
-        last state, oldest first.  *next_seq* is one past the largest
-        sequence number any line names, so no id is reused, not even a
-        job's whose admission line failed its hash.
+        last state, oldest first: a line naming ``seq`` is a whole record
+        (an admission or compacted line), any other a transition.
+        *next_seq* is one past the largest sequence number any line
+        names, so no id is reused, not even a job's whose admission line
+        failed its hash.
         """
         docs, corrupt = self._journal.read()
         if corrupt:
@@ -194,7 +198,7 @@ class ResultStore:
         for doc in docs:
             job_id = doc["job_id"]
             next_seq = max(next_seq, _seq_of(job_id) + 1)
-            if "request" in doc:
+            if "seq" in doc:
                 records[job_id] = doc
             elif job_id in records:
                 records[job_id].update(doc)
@@ -205,9 +209,15 @@ class ResultStore:
 
     def save_state(self, records: Iterable[dict]) -> None:
         """Atomically compact the journal to one line per job: each of
-        *records*, and the last line of each job whose admission line
-        :meth:`load_jobs` skipped, so its id stays taken."""
-        lines = [*records, *self._lost.values()]
+        *records*, its request kept only if it is unfinished, and the
+        last line of each job whose admission line :meth:`load_jobs`
+        skipped, so its id stays taken."""
+        lines = [
+            record if record["state"] in RECOVERABLE_STATES
+            else {k: v for k, v in record.items() if k != "request"}
+            for record in records
+        ]
+        lines.extend(self._lost.values())
         lines.sort(key=lambda doc: _seq_of(doc["job_id"]))
         with self._journal_lock:
             self._journal.rewrite(lines)

@@ -8,7 +8,7 @@ import pytest
 
 from repro import obs
 from repro.gcpause import gc_paused
-from repro.obs import MetricsCollector, NullCollector, SpanRecord
+from repro.obs import MetricsCollector, NullCollector, SpanRecord, ThreadSafeCollector
 
 
 class FakeClock:
@@ -52,7 +52,6 @@ class TestNullCollector:
     def test_add_and_gauge_are_noops(self):
         obs.add("counter", 5)
         obs.gauge("gauge", 7)
-        assert obs.snapshot_if_recording() is None
 
 
 class TestSpans:
@@ -111,6 +110,20 @@ class TestSpans:
         (record,) = collector.snapshot().find("failing")
         assert record.end is not None
 
+    def test_thread_safe_collector_records_no_spans(self):
+        with obs.use_collector(ThreadSafeCollector()) as active:
+            first = obs.span("a", attr=1)
+            with first as sp, obs.span("b"):
+                sp.set(ignored=True)
+                obs.add("n")
+                obs.gauge("g", 2)
+                obs.event("e")
+        assert first is obs.span("c")  # the shared no-op handle
+        snap = active.snapshot()
+        assert snap.spans == ()
+        assert (snap.counters, snap.gauges) == ({"n": 1}, {"g": 2})
+        assert [e.name for e in snap.events] == ["e"]
+
 
 class TestCountersAndGauges:
     def test_counters_accumulate(self, collector):
@@ -161,11 +174,6 @@ class TestCollectorManagement:
         assert snap.counters == {"n": 1}
         assert len(snap.find("after")) == 0
         assert len(collector.snapshot().find("after")) == 1
-
-    def test_snapshot_if_recording(self, collector):
-        obs.add("x")
-        snap = obs.snapshot_if_recording()
-        assert snap is not None and snap.counters == {"x": 1}
 
     def test_find_returns_spans_in_start_order(self, collector):
         for _ in range(3):

@@ -1,8 +1,9 @@
 """Integration tests: the instrumented pipeline under a recording collector.
 
-Covers stats attachment on QuotientResult, the counters emitted by the
-quotient phases / composition / simulator, phase_counters(), and the
-no-op overhead bound of the disabled instrumentation path.
+Covers what a solve records into the installed collector, the counters
+emitted by the quotient phases / composition / simulator,
+phase_counters(), and the no-op overhead bound of the disabled
+instrumentation path.
 """
 
 from __future__ import annotations
@@ -36,36 +37,41 @@ def symmetric():
 
 
 class TestSolveStats:
+    """A solve records into the installed collector; its owner reads the
+    snapshot, and the result carries none."""
+
     def test_stats_attached_when_recording(self, colocated):
-        with obs.use_collector():
+        with obs.use_collector() as collector:
             result = solve_quotient(
                 colocated.service,
                 colocated.composite,
                 int_events=colocated.interface.int_events,
             )
-        assert result.stats is not None
-        names = {s.name for s in result.stats.spans}
+        assert not hasattr(result, "stats")
+        stats = collector.snapshot()
+        names = {s.name for s in stats.spans}
         assert {"solve_quotient", "safety_phase", "progress_phase"} <= names
-        assert result.stats.counters["quotient.safety.pairs_explored"] > 0
-        assert result.stats.counters["quotient.progress.rounds"] == len(
+        assert stats.counters["quotient.safety.pairs_explored"] > 0
+        assert stats.counters["quotient.progress.rounds"] == len(
             result.progress.rounds
         )
-        # the snapshot is taken after the root span closes
-        (root,) = result.stats.find("solve_quotient")
+        # the root span has closed by the time the solve returns
+        (root,) = stats.find("solve_quotient")
         assert root.end is not None
 
     def test_stats_none_without_collector(self, colocated):
         result = solve_quotient(colocated.service, colocated.composite)
-        assert result.stats is None
+        assert obs.current_collector() is obs.NULL
+        assert not hasattr(result, "stats")
 
     def test_span_tree_matches_pipeline(self, colocated):
-        with obs.use_collector():
+        with obs.use_collector() as collector:
             result = solve_quotient(
                 colocated.service,
                 colocated.composite,
                 int_events=colocated.interface.int_events,
             )
-        stats = result.stats
+        stats = collector.snapshot()
         (root,) = stats.find("solve_quotient")
         child_names = [s.name for s in stats.children_of(root.index)]
         assert child_names[0] == "preflight"
@@ -79,13 +85,13 @@ class TestSolveStats:
         assert len(rounds) == len(result.progress.rounds)
 
     def test_gauges_record_converter_shape(self, colocated):
-        with obs.use_collector():
+        with obs.use_collector() as collector:
             result = solve_quotient(
                 colocated.service,
                 colocated.composite,
                 int_events=colocated.interface.int_events,
             )
-        assert result.stats.gauges["quotient.converter.states"] == len(
+        assert collector.snapshot().gauges["quotient.converter.states"] == len(
             result.converter.states
         )
 
@@ -128,7 +134,8 @@ class TestPhaseCounters:
         assert payload["exists"] is True
         assert payload["phases"]["emptied_by"] is None
         assert payload["converter"]["states"] == len(result.converter.states)
-        assert payload["stats"]["counters"]["quotient.safety.pairs_explored"] > 0
+        # telemetry stays with the collector, even while one records
+        assert "stats" not in payload
 
 
 class TestComposeCounters:

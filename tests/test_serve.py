@@ -27,6 +27,7 @@ from repro.obs.core import ThreadSafeCollector
 from repro.obs.ledger import Ledger
 from repro.persist import InterruptController
 from repro.persist.checkpoint import problem_fingerprint
+from repro.quotient.kernel import problem_cache_clear
 from repro.quotient.solve import solve_quotient
 from repro.quotient.types import QuotientProblem
 from repro.serve import (
@@ -79,9 +80,7 @@ def canonical_body(seed: int) -> dict:
     """What a direct, unserved solve of the same instance produces."""
     service, component, internal, _ = random_quotient_instance(seed=seed)
     result = solve_quotient(service, component, int_events=internal)
-    body = result.to_json_dict()
-    body.pop("stats", None)
-    return body
+    return result.to_json_dict()
 
 
 class TestJobRequest:
@@ -242,11 +241,14 @@ class TestResultStore:
         assert [(r["job_id"], r["state"], r["attempts"]) for r in records] \
             == [("j0", "done", 1), ("j1", "queued", 0)]
         assert next_seq == 2
-        # compaction: one line per job, in its last state
+        # compaction: one line per job, in its last state, and a request
+        # only on the unfinished job's
         store.save_state(records)
         lines = (tmp_path / "journal.json").read_bytes().splitlines()
         assert len(lines) == 1 + 2
-        assert ResultStore(str(tmp_path)).load_jobs() == (records, 2)
+        done, queued = records
+        del done["request"]
+        assert ResultStore(str(tmp_path)).load_jobs() == ([done, queued], 2)
 
     def test_journal_ids_survive_a_corrupt_admission_line(self, tmp_path):
         store = ResultStore(str(tmp_path))
@@ -518,8 +520,10 @@ class TestServerAdmission:
         restarted = self._server(tmp_path)
         restarted._recover()
         _, second = restarted._submit(solve_doc(seed=40))
-        # every job the last life finished still owns its id
+        # every job the last life finished still owns its id; its record
+        # keeps its state and drops the request it no longer needs
         assert second["job"]["job_id"] == "j1"
+        del finished["request"]
         assert journal_record(root, "j0") == finished
         assert restarted._records["j0"] == finished
 
@@ -562,6 +566,87 @@ class TestServerAdmission:
         server._run_one(accepted["job"]["job_id"])
         assert calls == [("save_job", "running"), ("put_result", None),
                          ("save_job", "done")]
+
+    def test_a_refused_submission_writes_nothing(self, tmp_path):
+        server = self._server(tmp_path, capacity=2)
+        for seed in (32, 33):
+            server._submit(solve_doc(seed=seed))
+        journal = Path(server.store.journal_path)
+        before = journal.read_bytes()
+        collector = obs.MetricsCollector()
+        with obs.use_collector(collector), pytest.raises(ServeError) as info:
+            server._submit(solve_doc(seed=34))
+        assert info.value.status == 429
+        assert collector.counters["serve.queue.rejected"] == 1
+        # no journal line, no record, no job id
+        assert journal.read_bytes() == before
+        assert sorted(server._records) == ["j0", "j1"]
+        assert server._seq == 2
+        restarted = self._server(tmp_path)
+        restarted._recover()
+        assert sorted(restarted._requests) == ["j0", "j1"]
+        assert restarted.queue.depth == 2
+
+    def test_a_served_solve_takes_no_collector_snapshot(self, tmp_path,
+                                                        monkeypatch):
+        snapshot = obs.MetricsCollector.snapshot
+        calls = []
+
+        def spy(collector):
+            calls.append(collector)
+            return snapshot(collector)
+
+        monkeypatch.setattr(obs.MetricsCollector, "snapshot", spy)
+        server = self._server(tmp_path, capacity=3)
+        with obs.use_collector(ThreadSafeCollector()):
+            for seed in (31, 32, 33):
+                _, accepted = server._submit(solve_doc(seed=seed))
+                server._run_one(accepted["job"]["job_id"])
+        assert [r["state"] for r in server._records.values()] == ["done"] * 3
+        assert calls == []
+
+    def test_a_finished_job_holds_no_request(self, tmp_path):
+        server = self._server(tmp_path, capacity=1)
+        doc = solve_doc(seed=31)
+        status, accepted = server._submit(doc)
+        done_id = accepted["job"]["job_id"]
+        assert status == 202 and "request" not in accepted["job"]
+        assert done_id in server._requests  # queued: it has still to run
+        assert server.queue.pop() == done_id
+        server._run_one(done_id)
+        server._finalize(done_id)
+        status, hit = server._submit(doc)
+        assert status == 200 and "request" not in hit["job"]
+        _, low = server._submit(solve_doc(seed=32))
+        shed_id = low["job"]["job_id"]
+        status, vip = server._submit(solve_doc(seed=33, priority=5))
+        assert status == 202 and "request" not in vip["job"]
+        assert server._records[shed_id]["state"] == "shed"
+        for job_id in (done_id, hit["job"]["job_id"], shed_id):
+            assert "request" not in server._records[job_id]
+            _, polled = asyncio.run(server._job_status(job_id, {}))
+            assert "request" not in polled["job"]
+        # only the job still queued keeps its request
+        assert list(server._requests) == [vip["job"]["job_id"]]
+
+    def test_compaction_keeps_only_unfinished_requests(self, tmp_path):
+        server = self._server(tmp_path)
+        _, done = server._submit(solve_doc(seed=39))
+        server._run_one(done["job"]["job_id"])
+        server._submit(solve_doc(seed=40))
+        restarted = self._server(tmp_path)
+        restarted._recover()
+        journal = Path(restarted.store.journal_path).read_bytes()
+        lines = [json.loads(line)["record"]
+                 for line in journal.splitlines()[1:]]
+        assert [(line["job_id"], "request" in line) for line in lines] \
+            == [("j0", False), ("j1", True)]
+        assert not any("request" in r for r in restarted._records.values())
+        restarted._run_one("j1")
+        record = restarted._records["j1"]
+        assert record["state"] == "done"
+        cached = restarted.store.get_result(record["fingerprint"])
+        assert cached["result"] == canonical_body(40)
 
     def test_draining_rejects_with_503(self, tmp_path):
         server = self._server(tmp_path)
@@ -698,6 +783,30 @@ class TestServerHTTP:
         assert restarted.job(job_id) == {**first, "progress": []}
         assert [j["job_id"] for j in restarted.jobs()["jobs"]] == [job_id]
 
+    def test_the_server_collector_keeps_no_spans(self, live_server):
+        problem_cache_clear()  # so each job compiles its problem
+        server, client = live_server()
+        for seed in (48, 49, 50):
+            _, accepted = client.submit(solve_doc(seed=seed))
+            final = client.wait(accepted["job"]["job_id"], timeout_s=60)
+            assert final["job"]["state"] == "done"
+        assert server.collector is not None
+        assert server.collector.spans == []
+        counters = client.metrics()["counters"]
+        assert counters["kernel.problem_cache_misses"] == 3
+        assert counters["serve.jobs.completed"] == 3
+
+    def test_a_failed_admission_write_is_a_503_naming_no_path(
+        self, live_server
+    ):
+        server, client = live_server()
+        # every write attempt fails: the admission line never lands
+        with use_chaos(ChaosPlan(p_write_enospc=1.0, sites=("store.write",))):
+            status, doc = client.call("POST", "/jobs", solve_doc(seed=31))
+        assert status == 503
+        assert server.store.root not in doc["error"]
+        assert client.jobs()["jobs"] == []
+
     def test_error_surfaces(self, live_server):
         _, client = live_server()
         with pytest.raises(ServeError) as info:
@@ -823,8 +932,6 @@ class TestServeCli:
     def test_submit_wait_json_is_the_solve_output(
         self, live_server, dsl, capsys
     ):
-        # the batch run goes first: the server installs its own (recording)
-        # collector, which would add a stats block to an in-process solve
         assert main(["solve", dsl, "service", "component", "--format", "json"]) == 0
         batch = capsys.readouterr().out
         server, _ = live_server()

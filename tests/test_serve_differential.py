@@ -389,12 +389,12 @@ def _wait_solving(client: ServeClient) -> None:
     """Return once the server's one running job has started solving.
 
     The safety phase compiles its problem (``kernel.problem_cache_misses``)
-    inside the job's supervised run.  By then the job's record reads
-    ``running`` on disk and its own interrupt controller exists, so a
+    inside the job's supervised run.  By then the job's ``running`` line
+    is in the journal and its own interrupt controller exists, so a
     signal from here on reaches a job already solving, not one that
-    has yet to start.  ``GET /metrics`` answers in milliseconds, while
-    a job record carries the whole request (1.4 MB for the k=5 relay),
-    so one poll of it can outlast the solve's last charge boundary.
+    has yet to start.  ``GET /metrics`` is a small counters-and-gauges
+    document, so each poll stays short next to the window between
+    that compile and the solve's last charge boundary.
     """
     deadline = time.monotonic() + 60
     while time.monotonic() < deadline:
